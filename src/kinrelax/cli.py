@@ -23,9 +23,9 @@ from . import __version__
 from .collision import (apply_collision, check_mass_conservation,
                         check_negative_semidefinite, check_self_adjoint,
                         collision_matrix, operator_norm_bound_check)
-from .diagnostics import (Tolerances, compare_gds_direct, report_to_json,
-                          spectral_continuity_residual)
-from .direct import ModeOperator, evolve_mode
+from .diagnostics import (Tolerances, compare_gds_direct, direct_unit_modes,
+                          report_to_json, spectral_continuity_residual)
+from .direct import ModeOperator, output_times
 from .dispersion import (SQRT_PI, build_table, dispersion_point,
                          transfer_function, xi_of_c, xi_of_c_quadrature, c_of_xi)
 from .gds import (evolve_density, lift_to_kinetic, make_band_limited_density,
@@ -142,12 +142,13 @@ class RunConfig:
             raise ConfigError("x_points must be a power of two >= 2*(modes+1)")
         if self.method not in ("rk4", "exact"):
             raise ConfigError("method must be 'rk4' or 'exact'")
-        if not self.times or any(t < 0 for t in self.times):
-            raise ConfigError("times must be nonnegative")
+        if not self.times or not all(0.0 <= t < math.inf for t in self.times):
+            raise ConfigError("times must be finite and nonnegative")
         if self.profile.get("name") not in ("gaussian-bump", "hann-band", "single-mode"):
             raise ConfigError(f"unknown profile {self.profile.get('name')!r}")
-        if self.dt <= 0 or self.t_final <= 0 or self.output_stride < 1:
-            raise ConfigError("dt, t_final must be positive and output_stride >= 1")
+        if not all(0.0 < x < math.inf for x in (self.dt, self.t_final)) \
+                or self.output_stride < 1:
+            raise ConfigError("dt, t_final must be positive and finite, output_stride >= 1")
         if not 0.0 < self.identity_band < SQRT_PI:
             raise ConfigError("identity_band must lie in (0, sqrt(pi))")
         if self.dispersion_samples < 2 or self.identity_samples < 2:
@@ -263,28 +264,17 @@ def cmd_solve_direct(config: RunConfig, out: Path) -> int:
     table = _table_for(config, rho0)
     traj_dir = out / "trajectories"
     traj_dir.mkdir(parents=True, exist_ok=True)
-    n_files = 0
-    for i in rho0.active_indices():
+    times = output_times(config.t_final, config.dt, config.output_stride)
+    unit, dist = direct_unit_modes(rho0, table, grid, times,
+                                   method=config.solver_method, dt=config.dt)
+    for k, i in enumerate(rho0.active_indices()):
         xi = float(rho0.xi_grid[i])
-        point = table.point(xi)
-        f0 = transfer_function(point, grid) * rho0.rho_hat[i]
-        traj = evolve_mode(f0, xi, grid, t_final=config.t_final, dt=config.dt,
-                           method=config.solver_method,
-                           output_stride=config.output_stride)
-        K = transfer_function(point, grid)
-        dists = []
-        for state in traj.states:
-            rho = np.sum(grid.weights * state)
-            num = np.sqrt(np.sum(grid.weights * np.abs(state - rho * K) ** 2))
-            den = np.sqrt(np.sum(grid.weights * np.abs(state) ** 2))
-            dists.append(num / den if den > 0 else 0.0)
         write_csv(traj_dir / f"mode_{_tag(xi)}.csv",
                   ("t", "re_rho_hat", "im_rho_hat", "gds_distance"),
                   [(t, d.real, d.imag, s) for t, d, s in
-                   zip(traj.times, traj.densities, dists)],
+                   zip(times, rho0.rho_hat[i] * unit[:, k], dist[:, k])],
                   config, extra_meta=(f"xi={_fmt(xi)}", f"method={config.solver_method}"))
-        n_files += 1
-    print(f"solve-direct: wrote {n_files} mode trajectories to {traj_dir}")
+    print(f"solve-direct: wrote {unit.shape[1]} mode trajectories to {traj_dir}")
     return 0
 
 

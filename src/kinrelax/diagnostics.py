@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dispersion import DispersionTable, transfer_function
-from .direct import ModeOperator
+from .direct import BLOCK, distance_to_ray, propagate
 from .gds import FieldSnapshot, SpectralDensity
 from .quadrature import VelocityGrid
 
@@ -136,6 +136,32 @@ def spectral_continuity_residual(rho: SpectralDensity, table: DispersionTable,
     )
 
 
+def direct_unit_modes(rho0: SpectralDensity, table: DispersionTable,
+                      grid: VelocityGrid, times, method: str = "exact-dense",
+                      dt: float | None = None) -> tuple:
+    """Direct densities and ray distances, (len(times), active modes) each, of
+    every active mode started from its transfer function at unit amplitude.
+
+    Only xi > 0 is integrated (``direct.propagate``, BLOCK states at a
+    time); a mode at -xi takes the complex conjugate, which is exact as
+    A(-xi) = conj(A(xi)) on the symmetric velocity grid.
+    """
+    idx = rho0.active_indices()
+    partner = np.where(rho0.xi_grid[idx] > 0, idx, len(rho0.xi_grid) - 1 - idx)
+    positive, row = np.unique(partner, return_inverse=True)  # grid is symmetric
+    xi_pos = rho0.xi_grid[positive]
+    dens = np.empty((len(times), len(positive)), dtype=complex)
+    dist = np.empty((len(times), len(positive)))
+    for lo in range(0, len(positive), BLOCK):
+        blk = slice(lo, lo + BLOCK)
+        lift = np.array([transfer_function(table.point(x), grid) for x in xi_pos[blk]])
+        states = propagate(lift, xi_pos[blk], grid, times, method=method, dt=dt)
+        dens[:, blk] = states @ grid.weights
+        dist[:, blk] = distance_to_ray(states, lift, grid)
+        del states  # free before the next block is integrated
+    return np.where(rho0.xi_grid[idx] < 0, dens[:, row].conj(), dens[:, row]), dist[:, row]
+
+
 def compare_gds_direct(rho0: SpectralDensity, times, table: DispersionTable,
                        grid: VelocityGrid, method: str = "exact-dense",
                        tolerance: float = 1e-6, lambda_offset: float = 0.0,
@@ -143,56 +169,25 @@ def compare_gds_direct(rho0: SpectralDensity, times, table: DispersionTable,
     """Per-mode, per-time relative error between the closed-form density
     exp(lam t) rho0_hat and the directly integrated mode density.
 
-    The direct side initializes each mode with the transfer function times
-    rho0_hat and integrates the dense mode ODE (eigendecomposition for
-    'exact-dense', stepping for 'rk4'); it never touches the dispersion
-    solve.  ``lambda_offset`` corrupts the closed-form rate on purpose,
-    for sensitivity checks.
+    The direct side (``direct_unit_modes``) integrates the dense mode ODE
+    by eigendecomposition for 'exact-dense' or by stepping for 'rk4'; it
+    never touches the dispersion solve.  Residuals run mode by mode in
+    grid order, times in the given order.  ``lambda_offset`` corrupts the
+    closed-form rate on purpose, for sensitivity checks.
     """
     times = np.asarray(times, dtype=float)
-    if times.ndim != 1 or len(times) == 0 or np.any(times < 0):
-        raise ValueError("times must be a 1D array of nonnegative instants")
+    if times.ndim != 1 or len(times) == 0:
+        raise ValueError("times must be a nonempty 1D array")
     idx = rho0.active_indices()
     if len(idx) == 0:
         raise ValueError("initial spectrum has no active modes")
 
-    residuals = np.zeros((len(idx), len(times)))
-    worst = {"xi": None, "t": None, "value": -1.0}
-    for row, i in enumerate(idx):
-        xi = float(rho0.xi_grid[i])
-        amp = rho0.rho_hat[i]
-        point = table.point(xi)
-        f0 = transfer_function(point, grid) * amp
-        op = ModeOperator(xi=xi, grid=grid)
-        if method == "exact-dense":
-            mu, vecs = np.linalg.eig(op.dense())
-            coeff = np.linalg.solve(vecs, f0)
-            mass = vecs.T @ grid.weights  # row of per-eigenvector densities
-            rho_direct = np.array([
-                np.sum(grid.weights * f0) if t == 0.0  # skip the eigenbasis roundtrip
-                else np.sum(mass * coeff * np.exp(mu * t))
-                for t in times
-            ])
-        elif method == "rk4":
-            from .direct import evolve_mode, default_rk4_dt
-            dt = rk4_dt if rk4_dt is not None else default_rk4_dt(xi, grid)
-            rho_direct = np.empty(len(times), dtype=complex)
-            for col, t in enumerate(times):
-                if t == 0.0:
-                    rho_direct[col] = np.sum(grid.weights * f0)
-                    continue
-                n = max(1, int(round(t / dt)))
-                traj = evolve_mode(f0, xi, grid, t_final=t, dt=t / n, method="rk4",
-                                   output_stride=max(1, n))
-                rho_direct[col] = traj.densities[-1]
-        else:
-            raise ValueError(f"unknown method {method!r}; use 'exact-dense' or 'rk4'")
-        rho_closed = amp * np.exp((point.lam + lambda_offset) * times)
-        rel = np.abs(rho_direct - rho_closed) / abs(amp)
-        residuals[row] = rel
-        j = int(np.argmax(rel))
-        if rel[j] > worst["value"]:
-            worst = {"xi": xi, "t": float(times[j]), "value": float(rel[j])}
+    unit, _ = direct_unit_modes(rho0, table, grid, times, method=method, dt=rk4_dt)
+    xi = rho0.xi_grid[idx]
+    amp = rho0.rho_hat[idx][:, None]
+    rho_closed = amp * np.exp((table.lam_for(xi)[:, None] + lambda_offset) * times)
+    residuals = np.abs(amp * unit.T - rho_closed) / np.abs(amp)
+    m, j = np.unravel_index(np.argmax(residuals), residuals.shape)  # first maximum
 
     return ResidualReport(
         name="gds-vs-direct",
@@ -203,7 +198,8 @@ def compare_gds_direct(rho0: SpectralDensity, times, table: DispersionTable,
             "times": times.tolist(),
             "active_modes": int(len(idx)),
             "lambda_offset": lambda_offset,
-            "worst": worst,
+            "worst": {"xi": float(xi[m]), "t": float(times[j]),
+                      "value": float(residuals[m, j])},
         },
     )
 

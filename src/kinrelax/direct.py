@@ -5,20 +5,21 @@ ODEs f_t = A_xi f on the velocity grid, one per frequency, with
 
     A_xi f = -(1 + i xi v) f + <f, 1>_phi.
 
-Nothing in the time stepping uses the dispersion construction: the matrix
-exponential and RK4 paths below are the derivation-free oracle the rest
-of the package is validated against.  ``relaxation_distance`` is the one
+Nothing in the time stepping uses the dispersion construction: the
+eigendecomposition, matrix exponential and RK4 paths below are the
+derivation-free oracle the rest of the package is validated against.  ``relaxation_distance`` is the one
 deliberate exception; it measures the distance of an evolving state to
 the density-determined ray, which requires the transfer function.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 from scipy import linalg
 
 from .dispersion import dispersion_point, transfer_function
-from .quadrature import VelocityGrid, as_grid_array, inner_product_phi, norm_phi
+from .quadrature import VelocityGrid, as_grid_array, norm_phi
 
 
 @dataclass(frozen=True)
@@ -39,15 +40,9 @@ class ModeOperator:
 
     def mass_flux_residual(self, f) -> float:
         """|<A f, 1>_phi + i xi <v f, 1>_phi|: mass changes only by flux."""
-        ones = np.ones(self.grid.order)
-        lhs = inner_product_phi(self.apply(f), ones, self.grid)
-        flux = inner_product_phi(self.grid.nodes * as_grid_array(f, self.grid),
-                                 ones, self.grid)
-        return abs(lhs + 1j * self.xi * flux)
-
-    def eigensystem(self):
-        """Eigenvalues and eigenvectors of the dense operator."""
-        return np.linalg.eig(self.dense())
+        w = self.grid.weights
+        return abs(np.sum(w * self.apply(f))
+                   + 1j * self.xi * np.sum(w * self.grid.nodes * f))
 
     def hydrodynamic_eigenpair(self):
         """The least-damped eigenpair whose eigenvector carries mass.
@@ -57,11 +52,10 @@ class ModeOperator:
         eigenvalue just above -1 (a discretization artifact of the fast
         kinetic branch) since it is always more damped than the slow mode.
         """
-        mu, vecs = self.eigensystem()
-        ones = np.ones(self.grid.order)
+        mu, vecs = np.linalg.eig(self.dense())
         for idx in np.argsort(-mu.real):
             u = vecs[:, idx]
-            mass = inner_product_phi(u, ones, self.grid)
+            mass = np.sum(self.grid.weights * u)
             if abs(mass) > 1e-8 * norm_phi(u, self.grid):
                 return mu[idx], u / mass
         raise ArithmeticError("no eigenvector with a nonvanishing mass component")
@@ -77,29 +71,91 @@ def default_rk4_dt(xi: float, grid: VelocityGrid) -> float:
     return 0.01 / (1.0 + abs(xi) * grid.vmax)
 
 
-def step(f, xi: float, grid: VelocityGrid, dt: float, method: str = "rk4") -> np.ndarray:
-    """Advance one mode state by dt.
+# Modes advanced together.  Bounds the (BLOCK, N, N) propagators of the
+# exact path and the states a caller holds at once, and lets each RK4 block
+# step at the smallest default step of its own modes.
+BLOCK = 16
 
-    'rk4' is the classical explicit scheme, rejected above the stability
-    bound; 'exact-dense' applies the matrix exponential of the dense
-    operator and is the high-trust path.
+
+def propagate(f0, xi, grid: VelocityGrid, times, method: str = "exact-dense",
+              dt: float | None = None) -> np.ndarray:
+    """States of modes f0 (modes, N) at xi (modes,), shape (len(times), modes, N).
+
+    'rk4' is the classical explicit scheme on A f = D*f + (f @ w)[:, None],
+    rejected above the stability bound of any mode in a block; 'exact-dense'
+    is the high-trust path.  Blocks of BLOCK modes make one pass through the
+    sorted distinct times (``times`` may be unsorted or repeated).  With a
+    step dt, each span between them takes the fewest equal steps no longer
+    than dt, ending on its output time (a step within 1e-9 of dt is taken as
+    dt, so evenly spaced outputs share one); 'exact-dense' steps by the
+    matrix exponential.  Without dt, 'rk4' steps each block at the smallest
+    ``default_rk4_dt`` of its modes and 'exact-dense' evaluates every time
+    from one eigendecomposition per mode.
     """
-    if dt <= 0.0:
-        raise ValueError("dt must be positive")
-    f = as_grid_array(f, grid).astype(complex)
-    op = ModeOperator(xi=xi, grid=grid)
-    if method == "rk4":
-        limit = rk4_stability_limit(xi, grid)
-        if dt > limit:
-            raise ValueError(f"dt={dt:g} exceeds the RK4 stability bound {limit:g}")
-        k1 = op.apply(f)
-        k2 = op.apply(f + 0.5 * dt * k1)
-        k3 = op.apply(f + 0.5 * dt * k2)
-        k4 = op.apply(f + dt * k3)
-        return f + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    if method == "exact-dense":
-        return linalg.expm(op.dense() * dt) @ f
-    raise ValueError(f"unknown method {method!r}; use 'rk4' or 'exact-dense'")
+    xi = np.atleast_1d(np.asarray(xi, dtype=float))
+    f0 = np.asarray(f0, dtype=complex)
+    times = np.asarray(times, dtype=float)
+    if xi.ndim != 1 or f0.shape != (len(xi), grid.order):
+        raise ValueError(f"states of shape {f0.shape} do not match {len(xi)} modes "
+                         f"on grid order {grid.order}")
+    if dt is not None and not 0.0 < dt < math.inf:
+        raise ValueError("dt must be positive and finite")
+    if times.ndim != 1 or not np.all(np.isfinite(times)) or np.any(times < 0):
+        raise ValueError("times must be a 1D array of finite nonnegative instants")
+    if method not in ("rk4", "exact-dense"):
+        raise ValueError(f"unknown method {method!r}; use 'rk4' or 'exact-dense'")
+    stops, order = np.unique(times, return_inverse=True)
+    out = np.empty((len(stops),) + f0.shape, dtype=complex)
+    for lo in range(0, len(xi), BLOCK):
+        blk = slice(lo, lo + BLOCK)
+        h = dt
+        if method == "rk4":
+            h = h or min(default_rk4_dt(x, grid) for x in xi[blk])
+            limit = min(rk4_stability_limit(x, grid) for x in xi[blk])
+            if h > limit:
+                raise ValueError(f"dt={h:g} exceeds the RK4 stability bound {limit:g}")
+        _march(f0[blk], xi[blk], grid, method, stops, h, out[:, blk])
+    return out if np.array_equal(stops, times) else out[order]
+
+
+def _march(f, xi, grid: VelocityGrid, method: str, stops, dt, out) -> None:
+    """Advance one block from t=0 through the sorted stops into out[k]."""
+    if dt is None:  # exact-dense: one eigendecomposition serves every time
+        for i, x in enumerate(xi):
+            mu, vecs = np.linalg.eig(ModeOperator(xi=x, grid=grid).dense())
+            coeff = np.linalg.solve(vecs, f[i])
+            out[:, i] = (np.exp(np.outer(stops, mu)) * coeff) @ vecs.T
+        out[stops == 0.0] = f  # no eigenbasis roundtrip at t = 0
+        return
+    d = -(1.0 + 1j * np.outer(xi, grid.nodes))
+    prop_h, prop = None, np.empty((len(xi),) + 2 * (grid.order,), dtype=complex)
+
+    def apply(g):
+        return d * g + (g @ grid.weights)[:, None]
+
+    for k, span in enumerate(np.diff(stops, prepend=0.0)):
+        n = max(1, math.ceil(span / dt - 1e-9)) if span > 0.0 else 0
+        h = dt if abs(n * dt - span) <= 1e-9 * span else span / n
+        for _ in range(n):
+            if method == "rk4":
+                k1 = apply(f)
+                k2 = apply(f + 0.5 * h * k1)
+                k3 = apply(f + 0.5 * h * k2)
+                k4 = apply(f + h * k3)
+                f = f + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            else:
+                if h != prop_h:  # one-step propagators of the block, rebuilt in place
+                    prop_h = h
+                    for i, x in enumerate(xi):
+                        prop[i] = linalg.expm(ModeOperator(xi=x, grid=grid).dense() * h)
+                f = (prop @ f[:, :, None])[:, :, 0]
+        out[k] = f
+
+
+def step(f, xi: float, grid: VelocityGrid, dt: float, method: str = "rk4") -> np.ndarray:
+    """Advance one mode state by one step dt (see ``propagate``)."""
+    f = as_grid_array(f, grid)[None]
+    return propagate(f, [xi], grid, [dt], method=method, dt=dt)[0, 0]
 
 
 @dataclass(frozen=True)
@@ -112,53 +168,39 @@ class ModeTrajectory:
     densities: np.ndarray  # (n_out,), <f(t), 1>_phi
 
 
-def evolve_mode(f0, xi: float, grid: VelocityGrid, t_final: float, dt: float,
-                method: str = "exact-dense", output_stride: int = 1) -> ModeTrajectory:
-    """Repeatedly step one mode, recording every output_stride-th state.
-
-    t_final must be an integer multiple of dt.  The density <f, 1>_phi is
-    recorded at each output time.
-    """
-    f = as_grid_array(f0, grid).astype(complex)
-    if dt <= 0.0:
+def output_times(t_final: float, dt: float, output_stride: int = 1) -> np.ndarray:
+    """Recorded instants of a fixed-step run: every output_stride-th multiple
+    of dt from 0, plus t_final, which must be an integer multiple of dt."""
+    if not dt > 0.0:
         raise ValueError("dt must be positive")
     n_steps = int(round(t_final / dt))
     if abs(n_steps * dt - t_final) > 1e-9 * max(1.0, t_final):
         raise ValueError(f"t_final={t_final!r} is not an integer multiple of dt={dt!r}")
-    op = ModeOperator(xi=xi, grid=grid)
-    if method == "rk4":
-        limit = rk4_stability_limit(xi, grid)
-        if dt > limit:
-            raise ValueError(f"dt={dt:g} exceeds the RK4 stability bound {limit:g}")
-        propagate = None
-    elif method == "exact-dense":
-        propagate = linalg.expm(op.dense() * dt)
-    else:
-        raise ValueError(f"unknown method {method!r}; use 'rk4' or 'exact-dense'")
+    return np.union1d(np.arange(0, n_steps + 1, output_stride), [n_steps]) * dt
 
-    ones = np.ones(grid.order)
-    times, states, densities = [], [], []
 
-    def record(t, state):
-        times.append(t)
-        states.append(state.copy())
-        densities.append(inner_product_phi(state, ones, grid))
+def evolve_mode(f0, xi: float, grid: VelocityGrid, t_final: float, dt: float,
+                method: str = "exact-dense", output_stride: int = 1) -> ModeTrajectory:
+    """Step one mode by dt to t_final, recording every output_stride-th state.
 
-    record(0.0, f)
-    for n in range(1, n_steps + 1):
-        if propagate is None:
-            k1 = op.apply(f)
-            k2 = op.apply(f + 0.5 * dt * k1)
-            k3 = op.apply(f + 0.5 * dt * k2)
-            k4 = op.apply(f + dt * k3)
-            f = f + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        else:
-            f = propagate @ f
-        if n % output_stride == 0 or n == n_steps:
-            record(n * dt, f)
+    t_final must be an integer multiple of dt.  The density <f, 1>_phi is
+    recorded at each output time.
+    """
+    times = output_times(t_final, dt, output_stride)
+    states = propagate(as_grid_array(f0, grid)[None], [xi], grid, times,
+                       method=method, dt=dt)[:, 0]
+    return ModeTrajectory(xi=xi, times=times, states=states,
+                          densities=states @ grid.weights)
 
-    return ModeTrajectory(xi=xi, times=np.array(times), states=np.array(states),
-                          densities=np.array(densities))
+
+def distance_to_ray(states, K, grid: VelocityGrid) -> np.ndarray:
+    """||f - rho K||_phi / ||f||_phi over the last axis, rho = <f, 1>_phi."""
+    w = grid.weights
+    norm = np.sqrt(np.abs(states) ** 2 @ w)
+    if np.any(norm == 0.0):
+        raise ValueError("zero-norm state has no meaningful distance to the ray")
+    off = (states @ w)[..., None] * K
+    return np.sqrt(np.abs(np.subtract(states, off, out=off)) ** 2 @ w) / norm
 
 
 def relaxation_distance(f0, xi: float, grid: VelocityGrid, t_grid,
@@ -171,40 +213,9 @@ def relaxation_distance(f0, xi: float, grid: VelocityGrid, t_grid,
     convergence statement.
     """
     t_grid = np.asarray(t_grid, dtype=float)
-    if t_grid.ndim != 1 or len(t_grid) == 0 or np.any(np.diff(t_grid) <= 0):
-        raise ValueError("t_grid must be a strictly increasing 1D array")
-    if t_grid[0] < 0:
-        raise ValueError("t_grid must start at t >= 0")
-    f = as_grid_array(f0, grid).astype(complex)
-    if norm_phi(f, grid) == 0.0:
-        raise ValueError("zero-norm state has no meaningful relaxation distance")
-
-    K = transfer_function(dispersion_point(xi), grid)
-    op = ModeOperator(xi=xi, grid=grid)
-    ones = np.ones(grid.order)
-    out = np.empty(len(t_grid))
-    t_prev = 0.0
-    for i, t in enumerate(t_grid):
-        span = t - t_prev
-        if span > 0:
-            f = step(f, xi, grid, span, method=method) if method == "exact-dense" \
-                else _rk4_span(f, op, span, rk4_stability_limit(xi, grid))
-        t_prev = t
-        nf = norm_phi(f, grid)
-        if nf == 0.0:
-            raise ValueError(f"state norm vanished at t={t!r}")
-        rho = inner_product_phi(f, ones, grid)
-        out[i] = norm_phi(f - rho * K, grid) / nf
-    return out
-
-
-def _rk4_span(f, op: ModeOperator, span: float, limit: float) -> np.ndarray:
-    n = max(1, int(np.ceil(span / (0.5 * limit))))
-    dt = span / n
-    for _ in range(n):
-        k1 = op.apply(f)
-        k2 = op.apply(f + 0.5 * dt * k1)
-        k3 = op.apply(f + 0.5 * dt * k2)
-        k4 = op.apply(f + dt * k3)
-        f = f + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    return f
+    if t_grid.ndim != 1 or len(t_grid) == 0 or np.any(np.diff(t_grid) <= 0) \
+            or t_grid[0] < 0:
+        raise ValueError("t_grid must be a strictly increasing 1D array from t >= 0")
+    states = propagate(as_grid_array(f0, grid)[None], [xi], grid, t_grid,
+                       method=method)[:, 0]
+    return distance_to_ray(states, transfer_function(dispersion_point(xi), grid), grid)

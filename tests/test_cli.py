@@ -192,3 +192,41 @@ def test_runtime_validation_maps_to_exit_2(tmp_path):
     cfg.write_text(json.dumps({"method": "rk4", "dt": 2.0, "modes": 4,
                                "xi_max": 0.6, "n_velocity": 32, "x_points": 16}))
     assert run(["solve-direct", "--config", cfg, "--out", tmp_path / "o"]) == 2
+
+
+@pytest.mark.parametrize("bad", [
+    {"dt": float("nan")},
+    {"dt": float("inf")},
+    {"t_final": float("nan")},
+    {"t_final": float("inf")},
+    {"times": [0.5, float("nan")]},
+])
+def test_config_rejects_nonfinite_values(bad):
+    with pytest.raises(ConfigError, match="finite"):
+        RunConfig.from_dict(bad)
+
+
+def test_compare_nan_time_is_a_config_error(tmp_path):
+    # used to report "FAIL max=nan" with the tolerance-failure exit code 1
+    assert run(["compare", *FAST, "--times", "nan", "--out", tmp_path]) == 2
+    assert not (tmp_path / "compare.json").exists()
+
+
+def test_build_gds_infinite_time_is_a_config_error(tmp_path):
+    # used to exit 0 and write fields_tinf.csv / spectral_tinf.csv
+    assert run(["build-gds", *FAST, "--times", "inf", "--out", tmp_path]) == 2
+    assert not list(tmp_path.glob("*tinf*"))
+
+
+def test_rk4_compare_infinite_time_is_a_config_error(tmp_path, capsys):
+    # used to die with an OverflowError traceback and exit code 1
+    assert run(["compare", *FAST, "--method", "rk4", "--times", "1,inf",
+                "--out", tmp_path]) == 2
+    assert "finite" in capsys.readouterr().err
+
+
+def test_solve_direct_nonfinite_step_is_a_config_error(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text('{"dt": NaN, "modes": 4, "xi_max": 0.6, "n_velocity": 32, '
+                   '"x_points": 16}')
+    assert run(["solve-direct", "--config", cfg, "--out", tmp_path / "o"]) == 2

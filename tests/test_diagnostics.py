@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
+from scipy import linalg
 
 from kinrelax.diagnostics import (ResidualReport, Tolerances, compare_gds_direct,
                                   continuity_residual, fit_convergence_order,
                                   report_to_json, spectral_continuity_residual)
-from kinrelax.dispersion import build_table
+from kinrelax.direct import ModeOperator, propagate
+from kinrelax.dispersion import build_table, transfer_function
 from kinrelax.gds import (FieldSnapshot, evolve_density, lift_to_kinetic,
                           make_band_limited_density, to_physical)
 from kinrelax.quadrature import build_grid
@@ -138,3 +140,55 @@ def test_fit_convergence_order():
     assert fit_convergence_order(dts, 0.7 * dts**4) == pytest.approx(4.0)
     with pytest.raises(ValueError):
         fit_convergence_order([0.1], [0.2])
+
+
+def _brute_force_residuals(rho0, table, grid, times, method, rk4_dt=None):
+    """Residuals of every active mode integrated on its own, both signs."""
+    rows = []
+    for i in rho0.active_indices():
+        xi, amp = rho0.xi_grid[i], rho0.rho_hat[i]
+        point = table.point(xi)
+        f0 = transfer_function(point, grid) * amp
+        if method == "exact-dense":
+            dense = ModeOperator(xi=xi, grid=grid).dense()
+            direct = np.array([np.sum(grid.weights * (linalg.expm(dense * t) @ f0))
+                               for t in times])
+        else:
+            direct = propagate(f0[None], [xi], grid, times, method="rk4",
+                               dt=rk4_dt)[:, 0] @ grid.weights
+        rows.append(np.abs(direct - amp * np.exp(point.lam * np.asarray(times)))
+                    / abs(amp))
+    return np.array(rows)
+
+
+@pytest.mark.parametrize("method", ["exact-dense", "rk4"])
+@pytest.mark.parametrize("profile", ["gaussian-bump", "single-mode"])
+def test_half_band_matches_brute_force_both_halves(profile, method):
+    # a coarse grid beyond its faithful band makes the residuals large and
+    # different from mode to mode, so a mode paired with the wrong partner shows
+    grid = build_grid(16)
+    rho0 = make_band_limited_density(profile, xi_max=1.2, modes=10)
+    table = build_table(rho0.active_frequencies())
+    times = [0.5, 2.0, 0.0, 1.0]
+    rk4_dt = 0.004 if method == "rk4" else None
+    rep = compare_gds_direct(rho0, times, table, grid, method=method, rk4_dt=rk4_dt)
+    brute = _brute_force_residuals(rho0, table, grid, times, method, rk4_dt)
+    assert rep.residuals.shape == (brute.size,)
+    assert np.max(np.abs(rep.residuals - brute.ravel())) < 1e-13
+
+
+def test_compare_row_order_and_worst_location(grid):
+    rho0, table = gds_setup(xi_max=0.6, modes=3)
+    times = [2.0, 0.5]
+    rep = compare_gds_direct(rho0, times, table, grid)
+    xi = rho0.active_frequencies()
+    assert list(xi) == sorted(xi) and xi[0] < 0  # grid order, negative modes first
+    rows = rep.residuals.reshape(len(xi), len(times))
+    brute = _brute_force_residuals(rho0, table, grid, times, "exact-dense")
+    assert np.max(np.abs(rows - brute)) < 1e-13
+    # +xi and -xi tie exactly; the first maximum in row order is reported
+    assert np.array_equal(rows[::-1], rows)
+    m, j = np.unravel_index(np.argmax(rows), rows.shape)
+    worst = rep.metadata["worst"]
+    assert worst == {"xi": float(xi[m]), "t": times[j], "value": float(rows[m, j])}
+    assert worst["xi"] < 0

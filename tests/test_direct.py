@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from kinrelax.direct import (ModeOperator, default_rk4_dt, evolve_mode,
+from kinrelax.direct import (ModeOperator, default_rk4_dt, evolve_mode, propagate,
                              relaxation_distance, rk4_stability_limit, step)
 from kinrelax.dispersion import dispersion_point, transfer_function
 from kinrelax.quadrature import build_grid, inner_product_phi, norm_phi
@@ -147,3 +147,60 @@ def test_relaxation_distance_decreases_for_perturbed_data(grid):
 def test_relaxation_distance_rejects_zero_state(grid):
     with pytest.raises(ValueError, match="zero-norm"):
         relaxation_distance(np.zeros(64), 0.5, grid, [0.0, 1.0])
+
+
+@pytest.mark.parametrize("method", ["rk4", "exact-dense"])
+def test_negative_frequency_is_exact_conjugate(grid, method):
+    # the grid is exactly symmetric, so A(-xi) = conj(A(xi)) bitwise
+    rng = np.random.default_rng(5)
+    f0 = rng.standard_normal(64) + 1j * rng.standard_normal(64)
+    pos = evolve_mode(f0, 0.7, grid, t_final=0.5, dt=0.01, method=method)
+    neg = evolve_mode(np.conj(f0), -0.7, grid, t_final=0.5, dt=0.01, method=method)
+    assert np.array_equal(neg.densities, np.conj(pos.densities))
+    assert np.array_equal(neg.states, np.conj(pos.states))
+
+
+@pytest.mark.parametrize("method", ["rk4", "exact-dense"])
+def test_block_matches_per_mode_stepping(grid, method):
+    rng = np.random.default_rng(8)
+    xi = np.array([0.05, 0.3, -0.45, 0.8, 1.2])
+    f0 = rng.standard_normal((5, 64)) + 1j * rng.standard_normal((5, 64))
+    times = [0.3, 1.0, 1.7]
+    block = propagate(f0, xi, grid, times, method=method, dt=0.004)
+    for m in range(len(xi)):
+        single = propagate(f0[m:m + 1], xi[m:m + 1], grid, times, method=method,
+                           dt=0.004)[:, 0]
+        scale = np.max(np.abs(single), axis=1, keepdims=True)
+        assert np.max(np.abs(block[:, m] - single) / scale) < 1e-13
+
+
+@pytest.mark.parametrize("method", ["rk4", "exact-dense"])
+def test_unsorted_repeated_and_zero_times(grid, method):
+    rng = np.random.default_rng(9)
+    xi = np.array([0.2, 0.6])
+    f0 = rng.standard_normal((2, 64)) + 1j * rng.standard_normal((2, 64))
+    ordered = propagate(f0, xi, grid, [0.0, 0.5, 2.0], method=method)
+    shuffled = propagate(f0, xi, grid, [2.0, 0.0, 0.5, 2.0, 0.0], method=method)
+    assert np.array_equal(shuffled, ordered[[2, 0, 1, 2, 0]])
+    assert np.array_equal(ordered[0], f0)
+
+
+def test_block_step_above_any_mode_stability_limit_rejected(grid):
+    xi = np.array([0.1, 1.0])
+    dt = 0.5 * (rk4_stability_limit(0.1, grid) + rk4_stability_limit(1.0, grid))
+    assert rk4_stability_limit(1.0, grid) < dt < rk4_stability_limit(0.1, grid)
+    with pytest.raises(ValueError, match="stability"):
+        propagate(np.ones((2, 64)), xi, grid, [1.0], method="rk4", dt=dt)
+    propagate(np.ones((1, 64)), xi[:1], grid, [1.0], method="rk4", dt=dt)
+
+
+def test_default_rk4_step_is_the_smallest_of_the_block(grid):
+    # a block steps at its tightest mode's default, so every mode of it
+    # matches a per-mode run at that same step
+    rng = np.random.default_rng(11)
+    xi = np.array([0.1, 0.9])
+    f0 = rng.standard_normal((2, 64)) + 1j * rng.standard_normal((2, 64))
+    block = propagate(f0, xi, grid, [0.5], method="rk4")
+    slow = propagate(f0[:1], xi[:1], grid, [0.5], method="rk4",
+                     dt=default_rk4_dt(0.9, grid))
+    assert np.max(np.abs(block[0, 0] - slow[0, 0])) < 1e-13 * np.max(np.abs(slow))
