@@ -14,7 +14,7 @@ import hashlib
 import json
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -26,16 +26,19 @@ from .collision import (apply_collision, check_mass_conservation,
 from .diagnostics import (Tolerances, compare_gds_direct, direct_unit_modes,
                           report_to_json, spectral_continuity_residual)
 from .direct import ModeOperator, output_times
-from .dispersion import (SQRT_PI, build_table, dispersion_point,
-                         transfer_function, xi_of_c, xi_of_c_quadrature, c_of_xi)
-from .gds import (evolve_density, lift_to_kinetic, make_band_limited_density,
-                  to_physical)
+from .dispersion import (SQRT_PI, build_table, c_of_xi, transfer_function, xi_of_c,
+                         xi_of_c_quadrature)
+from .gds import (PROFILE_NAMES, evolve_density, lift_to_kinetic,
+                  make_band_limited_density, to_physical)
 from .quadrature import build_grid, gaussian_moment, moment
 
 # Frequencies of the reference dispersion curve, always included in the
 # emitted table so the reproduction rows are sampled exactly.
 REFERENCE_CURVE_XI = (1.4198, 1.17853, 0.998537, 0.860816, 0.753057,
                       0.667063, 0.597234, 0.539653, 0.491519, 0.450792)
+
+# Keyword parameters of make_band_limited_density a config profile may set.
+PROFILE_PARAMS = ("amplitude", "sigma", "center", "xi0", "time")
 
 DEFAULT_CONFIG = {
     "n_velocity": 64,
@@ -100,38 +103,29 @@ class RunConfig:
         unknown = set(merged) - set(DEFAULT_CONFIG)
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+        if not isinstance(merged["profile"], dict):
+            raise ConfigError("profile must be an object with a 'name' field")
+        if not isinstance(merged["times"], (list, tuple)):
+            raise ConfigError("times must be a list of numbers")
         try:
-            tolerances = Tolerances.from_dict(merged["tolerances"])
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
-        cfg = cls(
-            n_velocity=int(merged["n_velocity"]),
-            xi_max=float(merged["xi_max"]),
-            modes=int(merged["modes"]),
-            x_points=int(merged["x_points"]),
-            profile=dict(merged["profile"]),
-            times=[float(t) for t in merged["times"]],
-            method=str(merged["method"]),
-            seed=int(merged["seed"]),
-            out=str(merged["out"]),
-            xi_min=float(merged["xi_min"]),
-            edge_margin=float(merged["edge_margin"]),
-            dispersion_samples=int(merged["dispersion_samples"]),
-            identity_band=float(merged["identity_band"]),
-            identity_samples=int(merged["identity_samples"]),
-            dt=float(merged["dt"]),
-            t_final=float(merged["t_final"]),
-            output_stride=int(merged["output_stride"]),
-            include_kinetic=bool(merged["include_kinetic"]),
-            inject_lambda_error=float(merged["inject_lambda_error"]),
-            fail_fast=bool(merged["fail_fast"]),
-            tolerances=tolerances,
-            raw=merged,
-        )
+            cfg = cls(**{f.name: f.type(merged[f.name]) for f in fields(cls)
+                         if f.type in (int, float, str, bool)},
+                      profile={k: v if k == "name" else float(v)
+                               for k, v in merged["profile"].items()},
+                      times=[float(t) for t in merged["times"]],
+                      tolerances=Tolerances.from_dict(merged["tolerances"]), raw=merged)
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"invalid config value: {exc}") from exc
         cfg.validate()
         return cfg
 
     def validate(self) -> None:
+        reals = [getattr(self, f.name) for f in fields(self) if f.type is float]
+        reals += [*self.times, *astuple(self.tolerances),
+                  *(v for k, v in self.profile.items() if k != "name")]
+        if not all(math.isfinite(x) for x in reals):
+            raise ConfigError("real-valued keys, times, tolerances and profile "
+                              "parameters must be finite")
         if self.n_velocity < 2:
             raise ConfigError("n_velocity must be >= 2")
         if not 0.0 < self.xi_max < SQRT_PI:
@@ -142,13 +136,17 @@ class RunConfig:
             raise ConfigError("x_points must be a power of two >= 2*(modes+1)")
         if self.method not in ("rk4", "exact"):
             raise ConfigError("method must be 'rk4' or 'exact'")
-        if not self.times or not all(0.0 <= t < math.inf for t in self.times):
-            raise ConfigError("times must be finite and nonnegative")
-        if self.profile.get("name") not in ("gaussian-bump", "hann-band", "single-mode"):
+        if not self.times or min(self.times) < 0.0:
+            raise ConfigError("times must be nonnegative")
+        if self.profile.get("name") not in PROFILE_NAMES:
             raise ConfigError(f"unknown profile {self.profile.get('name')!r}")
-        if not all(0.0 < x < math.inf for x in (self.dt, self.t_final)) \
-                or self.output_stride < 1:
-            raise ConfigError("dt, t_final must be positive and finite, output_stride >= 1")
+        unknown = set(self.profile) - {"name", *PROFILE_PARAMS}
+        if unknown:
+            raise ConfigError(f"unknown profile parameters: {sorted(unknown)}")
+        if not all(0.0 <= x < SQRT_PI for x in (self.xi_min, self.edge_margin)):
+            raise ConfigError("xi_min and edge_margin must lie in [0, sqrt(pi))")
+        if not (self.dt > 0.0 and self.t_final > 0.0) or self.output_stride < 1:
+            raise ConfigError("dt, t_final must be positive, output_stride >= 1")
         if not 0.0 < self.identity_band < SQRT_PI:
             raise ConfigError("identity_band must lie in (0, sqrt(pi))")
         if self.dispersion_samples < 2 or self.identity_samples < 2:
@@ -208,13 +206,13 @@ def _tag(t: float) -> str:
 
 
 def cmd_dispersion(config: RunConfig, out: Path) -> int:
-    xi_pos = np.linspace(0.01, SQRT_PI - 1e-3, config.dispersion_samples)
-    xi_all = np.concatenate([xi_pos, np.array(REFERENCE_CURVE_XI)])
-    xi_all = np.concatenate([-xi_all, xi_all])
-    table = build_table(xi_all, xi_min=config.xi_min, edge_margin=config.edge_margin,
+    xi = np.concatenate([np.linspace(0.01, SQRT_PI - 1e-3, config.dispersion_samples),
+                         REFERENCE_CURVE_XI])
+    table = build_table(np.concatenate([-xi, xi]), xi_min=config.xi_min,
+                        edge_margin=config.edge_margin,
                         metadata={"artifact": f"kinrelax {__version__}",
                                   "config_hash": config.hash()})
-    bad = [float(x) for x, l in zip(table.xi, table.lam) if not -1.0 < l < 0.0]
+    bad = table.xi[~((table.lam > -1.0) & (table.lam < 0.0))].tolist()
     table.to_csv(out / "dispersion.csv")
     table.to_json(out / "dispersion.json")
     write_json(out / "dispersion_meta.json", {
@@ -295,124 +293,98 @@ def cmd_compare(config: RunConfig, out: Path) -> int:
     return 0 if report.passed else 1
 
 
-class _EarlyFailure(Exception):
-    pass
+def _property_rows(config: RunConfig):
+    """Yield (name, value, tolerance) for each row of the property battery.
 
-
-def _property_rows(config: RunConfig) -> list:
-    """The collision-operator and quadrature property battery, one row each.
-
-    With fail_fast set, stops at the first failed row (the rows gathered
-    so far are still reported).
+    Rows are computed as they are drawn, so stopping early skips the rest.
     """
     tol = config.tolerances
     grid = build_grid(config.n_velocity)
+    w, v = grid.weights, grid.nodes
     rng = np.random.default_rng(config.seed)
-    rows = []
 
-    def add(name, value, bound):
-        passed = bool(value <= bound)
-        rows.append({"name": name, "value": float(value), "tolerance": float(bound),
-                     "passed": passed})
-        if config.fail_fast and not passed:
-            raise _EarlyFailure(name)
+    yield "weights_sum_error", abs(np.sum(w) - 1.0), tol.weights_sum
+    yield "node_antisymmetry", float(np.max(np.abs(v + v[::-1]))), tol.weights_sum
+    yield ("second_moment_error",
+           abs(moment(np.ones(grid.order), 2, grid) - gaussian_moment(2)),
+           tol.second_moment)
 
-    try:
-        add("weights_sum_error", abs(np.sum(grid.weights) - 1.0), tol.weights_sum)
-        add("node_antisymmetry",
-            float(np.max(np.abs(grid.nodes + grid.nodes[::-1]))), tol.weights_sum)
-        add("second_moment_error",
-            abs(moment(np.ones(grid.order), 2, grid) - gaussian_moment(2)),
-            tol.second_moment)
-
-        worst = 0.0
-        for _ in range(1000):
-            f = rng.standard_normal(grid.order) + 1j * rng.standard_normal(grid.order)
-            worst = max(worst, check_mass_conservation(f, grid))
-        add("mass_conservation_max", worst, tol.mass_conservation)
-
-        worst = 0.0
-        for _ in range(200):
-            f = rng.standard_normal(grid.order)
-            g = rng.standard_normal(grid.order)
-            worst = max(worst, check_self_adjoint(f, g, grid))
-        add("self_adjoint_max", worst, tol.self_adjoint)
-
-        worst = -np.inf
-        for _ in range(200):
-            f = rng.standard_normal(grid.order)
-            worst = max(worst, check_negative_semidefinite(f, grid))
-        add("negative_semidefinite_max", worst, tol.negative_semidefinite)
-
-        const = 3.7 * np.ones(grid.order)
-        add("constant_kernel_residual",
-            float(np.max(np.abs(apply_collision(const, grid)))),
-            tol.mass_conservation)
-
-        add("operator_norm_ratio",
-            operator_norm_bound_check(grid, 1000, config.seed), tol.operator_norm)
-
-        eigvals = np.linalg.eigvals(collision_matrix(grid))
-        spectrum_err = float(np.max(np.minimum(np.abs(eigvals), np.abs(eigvals + 1.0))))
-        n_zero = int(np.sum(np.abs(eigvals) < np.abs(eigvals + 1.0)))
-        add("collision_spectrum_error", spectrum_err, tol.collision_spectrum)
-        add("collision_kernel_multiplicity_error", abs(n_zero - 1), 0.0)
-
+    worst = 0.0
+    for _ in range(1000):
         f = rng.standard_normal(grid.order) + 1j * rng.standard_normal(grid.order)
-        cc = apply_collision(apply_collision(f, grid), grid)
-        add("idempotent_complement_max",
-            float(np.max(np.abs(cc + apply_collision(f, grid)))),
-            tol.mass_conservation)
+        worst = max(worst, check_mass_conservation(f, grid))
+    yield "mass_conservation_max", worst, tol.mass_conservation
 
-        xi_samples = np.linspace(0.01, config.identity_band, config.identity_samples)
-        xi_samples = np.concatenate([-xi_samples, xi_samples])
-        norm_worst = flux_worst = pair_worst = 0.0
-        for xi in xi_samples:
-            point = dispersion_point(xi, xi_min=config.xi_min,
-                                     edge_margin=config.edge_margin)
-            K = transfer_function(point, grid)
-            norm_worst = max(norm_worst, abs(np.sum(grid.weights * K) - 1.0))
-            flux_worst = max(flux_worst,
-                             abs(np.sum(grid.weights * grid.nodes * K) - 1j * point.a))
-            op = ModeOperator(xi=xi, grid=grid)
-            resid = op.apply(K) - point.lam * K
-            pair_worst = max(pair_worst,
-                             float(np.sqrt(np.sum(grid.weights * np.abs(resid) ** 2))))
-        add("transfer_normalization_max", norm_worst, tol.transfer_identity)
-        add("transfer_flux_max", flux_worst, tol.transfer_identity)
-        add("eigenpair_residual_max", pair_worst, tol.eigenpair)
+    worst = 0.0
+    for _ in range(200):
+        f = rng.standard_normal(grid.order)
+        g = rng.standard_normal(grid.order)
+        worst = max(worst, check_self_adjoint(f, g, grid))
+    yield "self_adjoint_max", worst, tol.self_adjoint
 
-        gap_worst = 0.0
-        for xi in np.linspace(0.1, config.identity_band, 8):
-            point = dispersion_point(xi)
-            mu, _ = ModeOperator(xi=xi, grid=grid).hydrodynamic_eigenpair()
-            gap_worst = max(gap_worst, abs(mu - point.lam))
-        add("dense_eigenvalue_gap_max", gap_worst, tol.eigenpair)
+    worst = -np.inf
+    for _ in range(200):
+        f = rng.standard_normal(grid.order)
+        worst = max(worst, check_negative_semidefinite(f, grid))
+    yield "negative_semidefinite_max", worst, tol.negative_semidefinite
 
-        rt_worst = 0.0
-        for xi in np.linspace(0.01, SQRT_PI - 0.01, 200):
-            rt_worst = max(rt_worst, abs(xi_of_c(c_of_xi(xi)) - xi))
-        add("xi_roundtrip_max", rt_worst, tol.xi_roundtrip)
+    const = 3.7 * np.ones(grid.order)
+    yield ("constant_kernel_residual", float(np.max(np.abs(apply_collision(const, grid)))),
+           tol.mass_conservation)
+    yield ("operator_norm_ratio", operator_norm_bound_check(grid, 1000, config.seed),
+           tol.operator_norm)
 
-        cf_worst = 0.0
-        for c in np.logspace(-4, 4, 17):
-            cf_worst = max(cf_worst,
-                           abs(xi_of_c(c) - xi_of_c_quadrature(c)) / abs(xi_of_c(c)))
-        add("closed_form_vs_quadrature_max_rel", cf_worst,
-            tol.closed_form_vs_quadrature)
+    eigvals = np.linalg.eigvals(collision_matrix(grid))
+    spectrum_err = float(np.max(np.minimum(np.abs(eigvals), np.abs(eigvals + 1.0))))
+    n_zero = int(np.sum(np.abs(eigvals) < np.abs(eigvals + 1.0)))
+    yield "collision_spectrum_error", spectrum_err, tol.collision_spectrum
+    yield "collision_kernel_multiplicity_error", abs(n_zero - 1), 0.0
 
-        rho0 = _make_profile(config)
-        table = _table_for(config, rho0)
-        rep = spectral_continuity_residual(rho0, table,
-                                           tolerance=tol.spectral_continuity)
-        add("spectral_continuity_max", rep.max_residual, tol.spectral_continuity)
-    except _EarlyFailure:
-        pass
-    return rows
+    f = rng.standard_normal(grid.order) + 1j * rng.standard_normal(grid.order)
+    cc = apply_collision(apply_collision(f, grid), grid)
+    yield ("idempotent_complement_max",
+           float(np.max(np.abs(cc + apply_collision(f, grid)))), tol.mass_conservation)
+
+    xi = np.linspace(0.01, config.identity_band, config.identity_samples)
+    table = build_table(np.concatenate([-xi, xi]), xi_min=config.xi_min,
+                        edge_margin=config.edge_margin)
+    K = transfer_function(table, grid)
+    xi, lam = table.xi[:, None], table.lam[:, None]
+    pair = -(1.0 + 1j * xi * v) * K + (K @ w)[:, None] - lam * K  # A K - lam K
+    yield ("transfer_normalization_max", float(np.max(np.abs(K @ w - 1.0))),
+           tol.transfer_identity)
+    yield ("transfer_flux_max", float(np.max(np.abs(K @ (w * v) - 1j * table.a))),
+           tol.transfer_identity)
+    yield ("eigenpair_residual_max", float(np.max(np.sqrt(np.abs(pair) ** 2 @ w))),
+           tol.eigenpair)
+
+    gap = build_table(np.linspace(0.1, config.identity_band, 8))
+    mu = [ModeOperator(xi=x, grid=grid).hydrodynamic_eigenpair()[0] for x in gap.xi]
+    yield "dense_eigenvalue_gap_max", float(np.max(np.abs(mu - gap.lam))), tol.eigenpair
+
+    xi = np.linspace(0.01, SQRT_PI - 0.01, 200)
+    yield ("xi_roundtrip_max", float(np.max(np.abs(xi_of_c(c_of_xi(xi)) - xi))),
+           tol.xi_roundtrip)
+
+    c = np.logspace(-4, 4, 17)
+    quad = np.array([xi_of_c_quadrature(x) for x in c])
+    yield ("closed_form_vs_quadrature_max_rel",
+           float(np.max(np.abs(xi_of_c(c) - quad) / np.abs(xi_of_c(c)))),
+           tol.closed_form_vs_quadrature)
+
+    rho0 = _make_profile(config)
+    yield ("spectral_continuity_max",
+           spectral_continuity_residual(rho0, _table_for(config, rho0)).max_residual,
+           tol.spectral_continuity)
 
 
 def cmd_properties(config: RunConfig, out: Path) -> int:
-    rows = _property_rows(config)
+    rows = []
+    for name, value, bound in _property_rows(config):
+        rows.append({"name": name, "value": float(value), "tolerance": float(bound),
+                     "passed": bool(value <= bound)})
+        if config.fail_fast and not rows[-1]["passed"]:
+            break  # the rows gathered so far are still reported
     all_ok = all(r["passed"] for r in rows)
     write_json(out / "properties.json", {"rows": rows, "all_passed": all_ok}, config)
     write_csv(out / "properties.csv", ("value", "tolerance", "passed"),
@@ -468,17 +440,9 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
             raise ConfigError(f"cannot read config {args.config}: {exc}") from exc
         if not isinstance(data, dict):
             raise ConfigError("config file must contain a JSON object")
-    overrides = {
-        "out": args.out,
-        "n_velocity": args.n_velocity,
-        "xi_max": args.xi_max,
-        "modes": args.modes,
-        "x_points": args.x_points,
-        "method": args.method,
-        "seed": args.seed,
-        "inject_lambda_error": args.inject_lambda_error,
-        "fail_fast": args.fail_fast,
-    }
+    overrides = {k: getattr(args, k) for k in (
+        "out", "n_velocity", "xi_max", "modes", "x_points", "method", "seed",
+        "inject_lambda_error", "fail_fast")}
     if args.times is not None:
         try:
             overrides["times"] = [float(tok) for tok in args.times.split(",") if tok]
@@ -486,7 +450,7 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
             raise ConfigError(f"cannot parse --times {args.times!r}") from exc
     if args.profile is not None:
         current = data.get("profile", DEFAULT_CONFIG["profile"])
-        if current.get("name") == args.profile:
+        if isinstance(current, dict) and current.get("name") == args.profile:
             overrides["profile"] = current  # keep its parameters
         else:
             overrides["profile"] = {"name": args.profile}  # library defaults

@@ -42,7 +42,7 @@ class Tolerances:
         bad = set(overrides) - known
         if bad:
             raise ValueError(f"unknown tolerance keys: {sorted(bad)}")
-        return cls(**overrides)
+        return cls(**{k: float(v) for k, v in overrides.items()})
 
 
 @dataclass(frozen=True)
@@ -125,9 +125,8 @@ def spectral_continuity_residual(rho: SpectralDensity, table: DispersionTable,
     """Per-mode |lam*rho_hat + i*xi*k*rho_hat| with k = a*i (identically ~0)."""
     idx = rho.active_indices()
     xi = rho.xi_grid[idx]
-    lam = table.lam_for(xi)
-    a = table.a_for(xi)
-    residual = np.abs((lam + 1j * xi * (1j * a)) * rho.rho_hat[idx])
+    j = table.index_of(xi)
+    residual = np.abs((table.lam[j] + 1j * xi * (1j * table.a[j])) * rho.rho_hat[idx])
     return ResidualReport(
         name="spectral-continuity",
         residuals=residual,
@@ -150,14 +149,14 @@ def direct_unit_modes(rho0: SpectralDensity, table: DispersionTable,
     partner = np.where(rho0.xi_grid[idx] > 0, idx, len(rho0.xi_grid) - 1 - idx)
     positive, row = np.unique(partner, return_inverse=True)  # grid is symmetric
     xi_pos = rho0.xi_grid[positive]
+    lift = transfer_function(table, grid)[table.index_of(xi_pos)]
     dens = np.empty((len(times), len(positive)), dtype=complex)
     dist = np.empty((len(times), len(positive)))
     for lo in range(0, len(positive), BLOCK):
         blk = slice(lo, lo + BLOCK)
-        lift = np.array([transfer_function(table.point(x), grid) for x in xi_pos[blk]])
-        states = propagate(lift, xi_pos[blk], grid, times, method=method, dt=dt)
+        states = propagate(lift[blk], xi_pos[blk], grid, times, method=method, dt=dt)
         dens[:, blk] = states @ grid.weights
-        dist[:, blk] = distance_to_ray(states, lift, grid)
+        dist[:, blk] = distance_to_ray(states, lift[blk], grid)
         del states  # free before the next block is integrated
     return np.where(rho0.xi_grid[idx] < 0, dens[:, row].conj(), dens[:, row]), dist[:, row]
 
@@ -185,7 +184,8 @@ def compare_gds_direct(rho0: SpectralDensity, times, table: DispersionTable,
     unit, _ = direct_unit_modes(rho0, table, grid, times, method=method, dt=rk4_dt)
     xi = rho0.xi_grid[idx]
     amp = rho0.rho_hat[idx][:, None]
-    rho_closed = amp * np.exp((table.lam_for(xi)[:, None] + lambda_offset) * times)
+    rho_closed = amp * np.exp((table.lam[table.index_of(xi)][:, None] + lambda_offset)
+                              * times)
     residuals = np.abs(amp * unit.T - rho_closed) / np.abs(amp)
     m, j = np.unravel_index(np.argmax(residuals), residuals.shape)  # first maximum
 

@@ -17,9 +17,10 @@ must vanish outside it.
 Evaluation: Xi(c) = sqrt(pi) * erfcx(c) for c > 0 (extended oddly), a
 closed form the test suite validates against ``xi_of_c_quadrature`` (the
 adaptive-quadrature evaluation of the defining integral) before anything
-trusts it.  The inverse uses bracketed Brent iteration polished with
-Newton steps; Xi'(c) = 2*(c*Xi(c) - 1) stays in (-2, 0), so the polish
-is safe anywhere on the band.
+trusts it.  ``c_of_xi`` inverts a scalar or an array at once: Xi decreases
+strictly, so bisecting the int64 bit patterns of the positive doubles
+brackets each root between adjacent doubles in at most 63 vectorised erfcx
+calls.  (Newton from c = 0 would fail: Xi'(c) = 2*(c*Xi(c) - 1) cancels.)
 """
 
 import json
@@ -28,9 +29,9 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import optimize, special
+from scipy import special
 
-from .quadrature import SQRT_PI, VelocityGrid, adaptive_phi_integral
+from .quadrature import SQRT_PI, adaptive_phi_integral
 
 BAND_EDGE = SQRT_PI
 DEFAULT_XI_MIN = 1e-6
@@ -44,12 +45,17 @@ class UnsupportedFrequencyError(ValueError):
     """Frequency outside the open admissible band 0 < |xi| < sqrt(pi)."""
 
 
-def xi_of_c(c: float) -> float:
-    """Xi(c) via the scaled complementary error function; odd in c."""
-    if c == 0.0:
+def xi_of_c(c):
+    """Xi(c) via the scaled complementary error function; odd in c.
+
+    A scalar gives a float, an array an array of its shape.
+    """
+    c = np.asarray(c, dtype=float)
+    if np.any(c == 0.0):
         raise ValueError("Xi is undefined at c = 0 (the integrand is singular); "
                          "the c -> 0 limit is +/- sqrt(pi)")
-    return math.copysign(SQRT_PI * float(special.erfcx(abs(c))), c)
+    xi = np.copysign(SQRT_PI * special.erfcx(np.abs(c)), c)
+    return xi if xi.ndim else float(xi)
 
 
 def xi_of_c_quadrature(c: float) -> float:
@@ -63,53 +69,56 @@ def xi_of_c_quadrature(c: float) -> float:
     return math.copysign(val, c)
 
 
-def c_of_xi(xi: float, *, xi_min: float = DEFAULT_XI_MIN,
+def c_of_xi(xi, *, xi_min: float = DEFAULT_XI_MIN,
             edge_margin: float = DEFAULT_EDGE_MARGIN,
-            residual_tol: float = XI_RESIDUAL_TOL) -> float:
+            residual_tol: float = XI_RESIDUAL_TOL):
     """Invert Xi on the band: the unique c with Xi(c) = xi and sign(c) = sign(xi).
 
-    Frequencies outside the open band raise UnsupportedFrequencyError.
-    Inside the band but within xi_min of 0 or edge_margin of the edge,
-    a warning is issued and the residual tolerance is widened 100x.
+    A scalar gives a float, an array an array of its shape, each element
+    solved independently.  Frequencies outside the open band raise
+    UnsupportedFrequencyError.  Within xi_min of 0 or edge_margin of the
+    edge the residual tolerance is widened 100x, with one warning per call.
     """
-    x = abs(xi)
-    if not 0.0 < x < BAND_EDGE:
+    xi = np.asarray(xi, dtype=float)
+    x = np.abs(xi)
+    outside = ~((x > 0.0) & (x < BAND_EDGE))
+    if np.any(outside):
         raise UnsupportedFrequencyError(
-            f"xi={xi!r} is outside the open band 0 < |xi| < sqrt(pi) ~ {BAND_EDGE:.9f}; "
-            "the density spectrum is identically zero there"
+            f"xi={float(xi[outside][0])!r} is outside the open band 0 < |xi| < sqrt(pi) "
+            f"~ {BAND_EDGE:.9f}; the density spectrum is identically zero there"
         )
-    tol = residual_tol
-    if x < xi_min or x > BAND_EDGE - edge_margin:
+    near = (x < xi_min) | (x > BAND_EDGE - edge_margin)
+    if np.any(near):
         warnings.warn(
-            f"xi={xi!r} is within {xi_min:g} of 0 or {edge_margin:g} of the band "
-            f"edge; inversion tolerance widened to {100.0 * residual_tol:g}",
+            f"{np.count_nonzero(near)} near-edge frequencies (first xi="
+            f"{float(xi[near][0])!r}) lie within {xi_min:g} of 0 or {edge_margin:g} of "
+            f"the band edge; inversion tolerance widened to {100.0 * residual_tol:g}",
             RuntimeWarning, stacklevel=2,
         )
-        tol = 100.0 * residual_tol
 
-    def f(c):
+    def residual(c):  # Xi(c) - |xi|: positive at c = 0, negative at c = inf
         return SQRT_PI * special.erfcx(c) - x
 
-    hi = max(1.0, 2.0 / x)  # outer asymptote Xi(c) ~ 1/c
-    while f(hi) > 0.0:
-        hi *= 2.0
-    c = optimize.brentq(f, 1e-300, hi, xtol=1e-14, rtol=8.9e-16, maxiter=200)
-
-    for _ in range(3):  # Newton polish; derivative 2*(c*Xi(c) - 1)
-        r = SQRT_PI * float(special.erfcx(c)) - x
-        if r == 0.0:
-            break
-        step = r / (2.0 * (c * (r + x) - 1.0))
-        if not 0.0 < c - step < math.inf:
-            break
-        c -= step
-
-    residual = abs(SQRT_PI * float(special.erfcx(c)) - x)
-    if residual > tol:
+    # Positive doubles order like their int64 bit patterns, so bisecting the
+    # patterns of [0, inf] brackets the root between adjacent doubles.
+    lo = np.zeros(x.shape, dtype=np.int64)
+    hi = np.full(x.shape, np.inf).view(np.int64)
+    for _ in range(63):
+        mid = lo + (hi - lo) // 2
+        above = residual(mid.view(np.float64)) > 0.0
+        lo, hi = np.where(above, mid, lo), np.where(above, hi, mid)
+    lo, hi = lo.view(np.float64), hi.view(np.float64)
+    r_lo, r_hi = np.abs(residual(lo)), np.abs(residual(hi))
+    c, r = np.where(r_hi <= r_lo, hi, lo), np.minimum(r_lo, r_hi)
+    tol = np.where(near, 100.0 * residual_tol, residual_tol)
+    over = r > tol
+    if np.any(over):
         raise ArithmeticError(
-            f"inversion residual {residual:g} exceeds tolerance {tol:g} at xi={xi!r}"
+            f"inversion residual {float(r[over][0]):g} exceeds tolerance "
+            f"{float(tol[over][0]):g} at xi={float(xi[over][0])!r}"
         )
-    return math.copysign(c, xi)
+    c = np.copysign(c, xi)
+    return c if c.ndim else float(c)
 
 
 @dataclass(frozen=True)
@@ -149,16 +158,21 @@ def dispersion_point(xi: float, **kwargs) -> DispersionPoint:
     return DispersionPoint(xi=float(xi), c=c, b=b, a=lam / xi, lam=lam)
 
 
-def transfer_function(point: DispersionPoint, grid: VelocityGrid) -> np.ndarray:
-    """Eigenvector 1/(b + i xi v) on the grid; lifts density to the kinetic state.
+def transfer_function(data, grid) -> np.ndarray:
+    """Eigenvector 1/(b + i xi v); lifts density to the kinetic state.
 
+    Broadcasts over ``data`` with ``b`` and ``xi`` (a DispersionPoint, or a
+    DispersionTable for one row per frequency) and the velocities of
+    ``grid`` (a VelocityGrid or values v): shape ``b.shape + v.shape``.
     The denominator never vanishes (b > 0, v real).  Its defining
     identities, integral against phi equal to one and first moment equal
     to a*i, hold at the grid level only as accurately as the quadrature
     resolves the pole at distance c from the real axis; see the README
     accuracy table.
     """
-    return 1.0 / (point.b + 1j * point.xi * grid.nodes)
+    v = np.asarray(getattr(grid, "nodes", grid))
+    lead = (...,) + (None,) * v.ndim
+    return 1.0 / (np.asarray(data.b)[lead] + 1j * np.asarray(data.xi)[lead] * v)
 
 
 @dataclass(frozen=True)
@@ -185,29 +199,22 @@ class DispersionTable:
     def __len__(self) -> int:
         return int(self.xi.shape[0])
 
-    def index_of(self, xi_value: float) -> int:
-        """Index of the stored frequency matching xi_value to ~1e-12."""
-        i = int(np.searchsorted(self.xi, xi_value))
-        tol = 1e-12 * max(1.0, abs(xi_value))
-        for j in (i - 1, i):
-            if 0 <= j < len(self) and abs(self.xi[j] - xi_value) <= tol:
-                return j
-        raise KeyError(
-            f"dispersion table has no entry for xi={xi_value!r}; "
-            "rebuild the table over the active frequencies"
-        )
+    def index_of(self, xi_value):
+        """Index of the stored frequency nearest xi_value, matching it to ~1e-12.
 
-    def point(self, xi_value: float) -> DispersionPoint:
-        j = self.index_of(xi_value)
-        return DispersionPoint(xi=float(self.xi[j]), c=float(self.c[j]),
-                               b=float(self.b[j]), a=float(self.a[j]),
-                               lam=float(self.lam[j]))
-
-    def lam_for(self, xi_values) -> np.ndarray:
-        return np.array([self.lam[self.index_of(x)] for x in np.atleast_1d(xi_values)])
-
-    def a_for(self, xi_values) -> np.ndarray:
-        return np.array([self.a[self.index_of(x)] for x in np.atleast_1d(xi_values)])
+        A scalar gives an int and an array an index array of its shape.  A
+        frequency missing from the table raises KeyError naming the first.
+        """
+        x = np.asarray(xi_value, dtype=float)
+        stored = np.append(self.xi, np.inf)  # stored[-1] never matches a finite xi
+        hi = np.searchsorted(self.xi, x)
+        j = np.where(np.abs(stored[hi - 1] - x) <= np.abs(stored[hi] - x), hi - 1, hi)
+        missing = ~(np.abs(stored[j] - x) <= 1e-12 * np.maximum(1.0, np.abs(x)))
+        if np.any(missing):
+            raise KeyError(f"dispersion table has no entry for xi="
+                           f"{float(x[missing][0])!r}; rebuild the table over the "
+                           "active frequencies")
+        return j if j.ndim else int(j)
 
     def to_csv(self, path) -> None:
         """Write (xi, c, b, lambda) rows at 17 significant digits."""
@@ -260,19 +267,17 @@ def build_table(xi_values, *, xi_min: float = DEFAULT_XI_MIN,
                 edge_margin: float = DEFAULT_EDGE_MARGIN,
                 residual_tol: float = XI_RESIDUAL_TOL,
                 metadata: dict | None = None) -> DispersionTable:
-    """Tabulate dispersion points at the given frequencies (sorted, deduplicated)."""
-    xi_values = np.unique(np.asarray(xi_values, dtype=float))
-    points = [dispersion_point(x, xi_min=xi_min, edge_margin=edge_margin,
-                               residual_tol=residual_tol) for x in xi_values]
+    """Tabulate dispersion data at the given frequencies (sorted, deduplicated)."""
+    xi = np.unique(np.asarray(xi_values, dtype=float))
+    c = c_of_xi(xi, xi_min=xi_min, edge_margin=edge_margin, residual_tol=residual_tol)
+    b = xi * c
+    bad = ~((b > 0.0) & (b < 1.0))  # b rounds to 1 below xi ~ 1e-8
+    if np.any(bad):
+        raise ValueError(f"b = xi*c must lie in (0, 1), got {float(b[bad][0])!r} "
+                         f"at xi={float(xi[bad][0])!r}")
+    lam = b - 1.0
     meta = {"xi_residual_tol": residual_tol, "xi_min": xi_min,
-            "edge_margin": edge_margin, "count": len(points)}
+            "edge_margin": edge_margin, "count": len(xi)}
     if metadata:
         meta.update(metadata)
-    return DispersionTable(
-        xi=np.array([p.xi for p in points]),
-        c=np.array([p.c for p in points]),
-        b=np.array([p.b for p in points]),
-        a=np.array([p.a for p in points]),
-        lam=np.array([p.lam for p in points]),
-        metadata=meta,
-    )
+    return DispersionTable(xi=xi, c=c, b=b, a=lam / xi, lam=lam, metadata=meta)

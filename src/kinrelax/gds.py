@@ -171,9 +171,7 @@ def evolve_density(rho0: SpectralDensity, t: float,
                       RuntimeWarning, stacklevel=2)
     rho = rho0.rho_hat.copy()
     idx = rho0.active_indices()
-    if len(idx):
-        lam = table.lam_for(rho0.xi_grid[idx])
-        rho[idx] = rho[idx] * np.exp(lam * t)
+    rho[idx] = rho[idx] * np.exp(table.lam[table.index_of(rho0.xi_grid[idx])] * t)
     return SpectralDensity(xi_grid=rho0.xi_grid, rho_hat=rho, time=rho0.time + t)
 
 
@@ -208,9 +206,9 @@ def lift_to_kinetic(rho: SpectralDensity, table: DispersionTable,
                     grid: VelocityGrid) -> KineticStateSpectral:
     """f_hat(xi, .) = K_hat(xi, .) * rho_hat(xi) on the active band."""
     f_hat = np.zeros((len(rho.xi_grid), grid.order), dtype=complex)
-    for i in rho.active_indices():
-        point = table.point(rho.xi_grid[i])
-        f_hat[i] = transfer_function(point, grid) * rho.rho_hat[i]
+    idx = rho.active_indices()
+    f_hat[idx] = (transfer_function(table, grid)[table.index_of(rho.xi_grid[idx])]
+                  * rho.rho_hat[idx, None])
     return KineticStateSpectral(xi_grid=rho.xi_grid, f_hat=f_hat, grid=grid,
                                 time=rho.time)
 
@@ -237,18 +235,13 @@ class FieldSnapshot:
         return float(np.sum(self.rho) * self.dx)
 
 
-def _pack_spectrum(values: np.ndarray, modes: int, x_points: int) -> np.ndarray:
-    """Place mode coefficients (index -modes..modes) into FFT bin order."""
-    packed = np.zeros(x_points, dtype=complex)
-    for j in range(-modes, modes + 1):
-        packed[j % x_points] = values[j + modes]
-    return packed
-
-
 def _synthesize(values: np.ndarray, modes: int, x_points: int, L: float) -> np.ndarray:
-    # field(x_n) = (1/L) sum_j values_j exp(i xi_j x_n): the Riemann form of the
-    # inverse transform on the periodic domain
-    return np.fft.ifft(_pack_spectrum(values, modes, x_points)) * (x_points / L)
+    # field(x_n) = (1/L) sum_j values_j exp(i xi_j x_n) along axis 0: the Riemann
+    # form of the inverse transform on the periodic domain.  Mode j (index
+    # -modes..modes) goes to FFT bin j mod x_points.
+    packed = np.zeros((x_points,) + values.shape[1:], dtype=complex)
+    packed[np.arange(-modes, modes + 1) % x_points] = values
+    return np.fft.ifft(packed, axis=0) * (x_points / L)
 
 
 def to_physical(state, x_points: int, L: float | None = None,
@@ -270,8 +263,7 @@ def to_physical(state, x_points: int, L: float | None = None,
                              "from a bare SpectralDensity")
         flux_hat = np.zeros_like(rho_hat)
         idx = state.active_indices()
-        if len(idx):
-            flux_hat[idx] = 1j * table.a_for(xi_grid[idx]) * rho_hat[idx]
+        flux_hat[idx] = 1j * table.a[table.index_of(xi_grid[idx])] * rho_hat[idx]
         f_hat = None
         if include_f:
             raise ValueError("include_f requires a KineticStateSpectral input")
@@ -301,9 +293,7 @@ def to_physical(state, x_points: int, L: float | None = None,
     flux = _real_checked(_synthesize(flux_hat, modes, x_points, L), "flux field")
     f = None
     if f_hat is not None:
-        cols = [_synthesize(f_hat[:, jv], modes, x_points, L)
-                for jv in range(f_hat.shape[1])]
-        f = _real_checked(np.stack(cols, axis=1), "molecular density field")
+        f = _real_checked(_synthesize(f_hat, modes, x_points, L), "molecular density field")
 
     x_grid = np.arange(x_points) * (L / x_points)
     return FieldSnapshot(x_grid=x_grid, rho=rho, flux=flux,
@@ -329,7 +319,7 @@ def kernel_kv(v: float, y_grid, table: DispersionTable) -> np.ndarray:
         raise ValueError("kernel synthesis needs uniformly spaced frequencies "
                          "(a single gap at xi = 0 is allowed)")
     y = np.asarray(y_grid, dtype=float)
-    k_hat = 1.0 / (table.b + 1j * xi * v)
+    k_hat = transfer_function(table, v)
     kernel = (dxi / (2.0 * math.pi)) * (np.exp(1j * np.outer(y, xi)) @ k_hat)
     return _real_checked(kernel, "convolution kernel")
 
@@ -344,26 +334,16 @@ def pide_residual(state: KineticStateSpectral, table: DispersionTable,
     exponential propagator at step dt_probe, adding an O(dt_probe^2)
     term; the two modes separate algebra errors from discretization.
     """
-    grid = state.grid
-    w = grid.weights
-    v = grid.nodes
-    worst = 0.0
-    for i in range(len(state.xi_grid)):
-        f = state.f_hat[i]
-        if not np.any(f):
-            continue
-        xi = state.xi_grid[i]
-        lam = float(table.lam_for(xi)[0])
-        if mode == "analytic":
-            dfdt = lam * f
-        elif mode == "fd":
-            if dt_probe <= 0:
-                raise ValueError("dt_probe must be positive")
-            rate = (math.exp(lam * dt_probe) - math.exp(-lam * dt_probe)) / (2.0 * dt_probe)
-            dfdt = rate * f
-        else:
-            raise ValueError(f"unknown residual mode {mode!r}; use 'analytic' or 'fd'")
-        rho = np.sum(w * f)
-        r = dfdt + (1.0 + 1j * xi * v) * f - rho
-        worst = max(worst, float(np.sqrt(np.sum(w * np.abs(r) ** 2))))
-    return worst
+    if mode not in ("analytic", "fd"):
+        raise ValueError(f"unknown residual mode {mode!r}; use 'analytic' or 'fd'")
+    if mode == "fd" and dt_probe <= 0:
+        raise ValueError("dt_probe must be positive")
+    w, v = state.grid.weights, state.grid.nodes
+    idx = np.nonzero(np.any(state.f_hat, axis=1))[0]
+    xi = state.xi_grid[idx, None]
+    lam = table.lam[table.index_of(state.xi_grid[idx])][:, None]
+    f = state.f_hat[idx]
+    if mode == "fd":
+        lam = (np.exp(lam * dt_probe) - np.exp(-lam * dt_probe)) / (2.0 * dt_probe)
+    r = lam * f + (1.0 + 1j * xi * v) * f - (f @ w)[:, None]
+    return float(np.max(np.sqrt(np.abs(r) ** 2 @ w), initial=0.0))

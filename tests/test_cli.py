@@ -45,6 +45,16 @@ def test_config_defaults_validate():
     {"unknown_key": 1},
     {"profile": {"name": "mystery"}},
     {"tolerances": {"nope": 1.0}},
+    {"inject_lambda_error": float("nan")},
+    {"edge_margin": float("inf")},
+    {"xi_min": -1},
+    {"modes": "many"},
+    {"times": "abc"},
+    {"profile": "gaussian-bump"},
+    {"profile": {"name": "gaussian-bump", "bogus": 1}},
+    {"profile": {"name": "gaussian-bump", "sigma": "x"}},
+    {"tolerances": {"gds_vs_direct": "abc"}},
+    {"tolerances": {"gds_vs_direct": float("nan")}},
 ])
 def test_config_rejections(bad):
     with pytest.raises(ConfigError):
@@ -230,3 +240,16 @@ def test_solve_direct_nonfinite_step_is_a_config_error(tmp_path):
     cfg.write_text('{"dt": NaN, "modes": 4, "xi_max": 0.6, "n_velocity": 32, '
                    '"x_points": 16}')
     assert run(["solve-direct", "--config", cfg, "--out", tmp_path / "o"]) == 2
+
+
+def test_compare_nan_lambda_error_is_a_config_error(tmp_path):
+    # used to report "FAIL max=nan" with the tolerance-failure exit code 1
+    assert run(["compare", *FAST, "--inject-lambda-error", "nan", "--out", tmp_path]) == 2
+
+
+def test_profile_flag_over_a_non_object_profile_exits_2(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"profile": "gaussian-bump"}))
+    assert run(["build-gds", *FAST, "--config", cfg, "--out", tmp_path]) == 2
+    assert run(["build-gds", *FAST, "--config", cfg, "--profile", "gaussian-bump",
+                "--out", tmp_path]) == 0

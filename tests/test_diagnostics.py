@@ -147,8 +147,8 @@ def _brute_force_residuals(rho0, table, grid, times, method, rk4_dt=None):
     rows = []
     for i in rho0.active_indices():
         xi, amp = rho0.xi_grid[i], rho0.rho_hat[i]
-        point = table.point(xi)
-        f0 = transfer_function(point, grid) * amp
+        j = table.index_of(xi)
+        f0 = transfer_function(table, grid)[j] * amp
         if method == "exact-dense":
             dense = ModeOperator(xi=xi, grid=grid).dense()
             direct = np.array([np.sum(grid.weights * (linalg.expm(dense * t) @ f0))
@@ -156,7 +156,7 @@ def _brute_force_residuals(rho0, table, grid, times, method, rk4_dt=None):
         else:
             direct = propagate(f0[None], [xi], grid, times, method="rk4",
                                dt=rk4_dt)[:, 0] @ grid.weights
-        rows.append(np.abs(direct - amp * np.exp(point.lam * np.asarray(times)))
+        rows.append(np.abs(direct - amp * np.exp(table.lam[j] * np.asarray(times)))
                     / abs(amp))
     return np.array(rows)
 

@@ -1,9 +1,10 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 
-from kinrelax.dispersion import (DispersionPoint, DispersionTable,
+from kinrelax.dispersion import (XI_RESIDUAL_TOL, DispersionPoint, DispersionTable,
                                  UnsupportedFrequencyError, build_table, c_of_xi,
                                  dispersion_point, transfer_function, xi_of_c,
                                  xi_of_c_quadrature)
@@ -76,6 +77,51 @@ def test_edge_proximity_warns():
         c_of_xi(SQRT_PI - 1e-8)
     with pytest.warns(RuntimeWarning, match="band"):
         c_of_xi(1e-9)
+
+
+def test_inversion_at_tiny_frequencies():
+    # the former Newton polish divided by zero here
+    for xi in (1e-12, 2e-12):
+        with pytest.warns(RuntimeWarning, match="band"):
+            c = c_of_xi(xi)
+        assert isinstance(c, float)
+        assert abs(xi_of_c(c) - xi) <= 100 * XI_RESIDUAL_TOL
+
+
+def test_array_inversion_matches_scalar_calls_bitwise():
+    xs = np.concatenate([np.logspace(-12, 0, 300),
+                         np.linspace(0.5, SQRT_PI - 1e-9, 300)])
+    xs = np.concatenate([-xs, xs])
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        cs = c_of_xi(xs)
+        scalar = np.array([c_of_xi(float(x)) for x in xs])
+    assert cs.shape == xs.shape
+    assert np.array_equal(cs, scalar)
+    assert np.max(np.abs(xi_of_c(cs) - xs)) <= 100 * XI_RESIDUAL_TOL
+
+
+def test_near_edge_frequencies_warn_once_per_call():
+    xs = np.concatenate([np.logspace(-12, -7, 20), [0.5],
+                         SQRT_PI - np.logspace(-9, -7, 20)])
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        c_of_xi(xs)
+    assert len(caught) == 1
+    assert caught[0].category is RuntimeWarning
+    assert "40 near-edge frequencies" in str(caught[0].message)
+    assert "first xi=1e-12" in str(caught[0].message)
+
+
+def test_array_inversion_rejects_out_of_band_element():
+    with pytest.raises(UnsupportedFrequencyError, match="xi=2.0"):
+        c_of_xi(np.array([0.3, 2.0, 0.0]))
+
+
+def test_array_inversion_checks_every_residual():
+    # a negative tolerance no residual can meet exercises the per-element check
+    with pytest.raises(ArithmeticError, match="xi=0.3"):
+        c_of_xi(np.array([0.3, 0.5]), residual_tol=-1.0)
 
 
 def test_monotone_decreasing_inverse():
@@ -156,10 +202,42 @@ def test_build_table_and_lookup():
     assert len(table) == 4
     assert np.all(np.diff(table.xi) > 0)
     assert table.lam[0] == table.lam[3]  # evenness
-    p = table.point(0.3)
-    assert p.xi == 0.3
+    assert table.xi[table.index_of(0.3)] == 0.3
     with pytest.raises(KeyError, match="0.45"):
-        table.lam_for([0.45])
+        table.index_of([0.45])
+
+
+def test_index_of_scalar_and_array():
+    table = build_table([-0.6, -0.3, 0.3, 0.6])
+    j = table.index_of(0.3)
+    assert isinstance(j, int) and j == 2
+    idx = table.index_of(np.array([0.6, -0.6, 0.3]))
+    assert isinstance(idx, np.ndarray)
+    assert idx.tolist() == [3, 0, 2]
+    assert table.index_of(np.array([[0.3 + 1e-14]])).tolist() == [[2]]
+    assert table.index_of(np.array([])).shape == (0,)
+    with pytest.raises(KeyError, match="0.45"):
+        table.index_of(np.array([0.3, 0.45, 0.7]))
+
+
+def test_table_transfer_rows_match_points_bitwise():
+    grid = build_grid(64)
+    xs = np.linspace(-1.6, 1.6, 17)
+    table = build_table(xs[xs != 0.0])
+    K = transfer_function(table, grid)
+    assert K.shape == (len(table), grid.order)
+    for xi in table.xi:
+        row = K[table.index_of(xi)]
+        assert np.array_equal(row, transfer_function(dispersion_point(xi), grid))
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_table_rejects_frequencies_where_b_rounds_to_one():
+    # as dispersion_point does: at xi = 1e-8, b = xi*c rounds to 1.0 and lam to 0
+    with pytest.raises(ValueError, match="b = xi"):
+        build_table([1e-8, 0.5])
+    with pytest.raises(ValueError, match="b = xi"):
+        dispersion_point(1e-8)
 
 
 def test_table_decay_rate_limits():

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from kinrelax.dispersion import build_table
+from kinrelax.dispersion import build_table, dispersion_point, transfer_function
 from kinrelax.gds import (GridMismatchError, KineticStateSpectral, SpectralDensity,
                           evolve_density, kernel_kv, lift_to_kinetic,
                           make_band_limited_density, pide_residual, to_physical)
@@ -98,7 +98,7 @@ def test_evolve_identity_at_t_zero():
 def test_single_mode_decay_rate():
     rho0, table = small_setup("single-mode", xi_max=0.8, modes=16, xi0=0.4)
     i = rho0.active_indices()[1]
-    lam = table.lam_for([rho0.xi_grid[i]])[0]
+    lam = table.lam[table.index_of(rho0.xi_grid[i])]
     prev = abs(rho0.rho_hat[i])
     for t in (0.5, 1.0, 2.0):
         out = evolve_density(rho0, t, table)
@@ -161,7 +161,7 @@ def test_hermitian_symmetry_preserved_exactly():
 def test_decay_envelope():
     rho0, table = small_setup()
     idx = rho0.active_indices()
-    lam_max = float(np.max(table.lam_for(rho0.xi_grid[idx])))
+    lam_max = float(np.max(table.lam[table.index_of(rho0.xi_grid[idx])]))
     norm0 = np.sqrt(np.sum(np.abs(rho0.rho_hat) ** 2))
     for t in (0.5, 2.0, 5.0):
         out = evolve_density(rho0, t, table)
@@ -185,7 +185,7 @@ def test_lift_density_and_flux_consistency(grid):
     dens = state.density()
     assert np.max(np.abs(dens[idx] - rho0.rho_hat[idx])) < 1e-8
     flux = state.flux()
-    expected = 1j * table.a_for(rho0.xi_grid[idx]) * rho0.rho_hat[idx]
+    expected = 1j * table.a[table.index_of(rho0.xi_grid[idx])] * rho0.rho_hat[idx]
     assert np.max(np.abs(flux[idx] - expected)) < 1e-8
 
 
@@ -202,7 +202,7 @@ def test_single_mode_gives_pure_cosine(grid):
 
 def test_single_mode_flux_profile(grid):
     rho0, table = small_setup("single-mode", xi_max=0.8, modes=16, xi0=0.4)
-    a = float(table.a_for([0.4])[0])
+    a = float(table.a[table.index_of(0.4)])
     snap = to_physical(rho0, 128, table=table)
     L = rho0.domain_length
     expected = -(2.0 * a / L) * np.sin(0.4 * snap.x_grid)
@@ -246,6 +246,32 @@ def test_kinetic_snapshot_with_molecular_matrix(grid):
     # density is the velocity average of the molecular matrix
     rho_from_f = snap.f @ grid.weights
     assert np.max(np.abs(rho_from_f - snap.rho)) < 1e-10
+
+
+def test_molecular_matrix_matches_per_column_transforms(grid):
+    rho0, table = small_setup(xi_max=0.6, modes=12)
+    state = lift_to_kinetic(rho0, table, grid)
+    x_points, modes = 64, 12
+    snap = to_physical(state, x_points, include_f=True)
+    # reference: one inverse FFT per velocity column, bins filled one by one
+    L = rho0.domain_length
+    ref = np.empty((x_points, grid.order))
+    for jv in range(grid.order):
+        packed = np.zeros(x_points, dtype=complex)
+        for j in range(-modes, modes + 1):
+            packed[j % x_points] = state.f_hat[j + modes, jv]
+        ref[:, jv] = (np.fft.ifft(packed) * (x_points / L)).real
+    assert np.array_equal(snap.f, ref)
+
+
+def test_lift_rows_match_per_mode_transfer_functions(grid):
+    rho0, table = small_setup(xi_max=0.75, modes=15)
+    state = lift_to_kinetic(rho0, table, grid)
+    for i in rho0.active_indices():
+        point = dispersion_point(rho0.xi_grid[i])
+        assert np.array_equal(state.f_hat[i],
+                              transfer_function(point, grid) * rho0.rho_hat[i])
+    assert not np.any(np.delete(state.f_hat, rho0.active_indices(), axis=0))
 
 
 # -------------------------------------------------------------- kernel
