@@ -3,6 +3,9 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.special
+from hypothesis import given
+from hypothesis import strategies as st
 
 from kinrelax.dispersion import (XI_RESIDUAL_TOL, DispersionPoint, DispersionTable,
                                  UnsupportedFrequencyError, build_table, c_of_xi,
@@ -17,6 +20,27 @@ def test_closed_form_validated_against_quadrature():
         fast = xi_of_c(float(c))
         slow = xi_of_c_quadrature(float(c))
         assert abs(fast - slow) <= 1e-10 * abs(slow), f"c={c}"
+
+
+@given(st.floats(-4.0, 4.0), st.sampled_from([-1.0, 1.0]))
+def test_closed_form_matches_quadrature_at_random_c(log10_c, sign):
+    c = sign * 10.0**log10_c
+    slow = xi_of_c_quadrature(c)
+    assert abs(xi_of_c(c) - slow) <= 1e-10 * abs(slow)
+    assert xi_of_c_quadrature(-c) == -slow
+
+
+def test_quadrature_oracle_uses_neither_erfcx_nor_hermite_nodes(monkeypatch):
+    cs = np.logspace(-4, 4, 9)
+    expected = xi_of_c(cs)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the quadrature oracle must not use this")
+
+    monkeypatch.setattr(scipy.special, "erfcx", forbidden)
+    monkeypatch.setattr(np.polynomial.hermite, "hermgauss", forbidden)
+    for c, xi in zip(cs, expected):
+        assert abs(xi_of_c_quadrature(float(c)) - xi) <= 1e-10 * xi
 
 
 def test_xi_rejects_zero():
@@ -67,9 +91,16 @@ def test_divergence_toward_zero_frequency():
 
 
 def test_out_of_band_rejected():
-    for bad in (0.0, SQRT_PI, -SQRT_PI, 2.0, -3.0):
-        with pytest.raises(UnsupportedFrequencyError):
-            c_of_xi(bad)
+    # subnormal |xi| lies in the band, but its root c overflows to inf
+    tiny = (5e-324, -5e-324, 1e-310, -1e-310)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # near-edge warning
+        for bad in (0.0, SQRT_PI, -SQRT_PI, 2.0, -3.0) + tiny:
+            with pytest.raises(UnsupportedFrequencyError):
+                c_of_xi(bad)
+        for bad in tiny:
+            with pytest.raises(UnsupportedFrequencyError, match=f"xi={bad!r}"):
+                c_of_xi(np.array([0.3, bad]))
 
 
 def test_edge_proximity_warns():

@@ -127,9 +127,20 @@ def test_odd_functions_integrate_to_zero(grid64):
 
 def test_adaptive_integral_against_closed_forms():
     # E[exp(v)] under the phi weight is exp(1/4)
-    assert abs(adaptive_phi_integral(math.exp) - math.exp(0.25)) < 1e-12
+    assert abs(adaptive_phi_integral(np.exp) - math.exp(0.25)) < 1e-12
     assert abs(adaptive_phi_integral(lambda v: 1.0) - 1.0) < 1e-13
-    assert abs(adaptive_phi_integral(math.cos) - math.exp(-0.25)) < 1e-12
+    assert abs(adaptive_phi_integral(np.cos) - math.exp(-0.25)) < 1e-12
+    # a zero integral converges relative to the size of the terms
+    assert abs(adaptive_phi_integral(lambda v: v * v - 0.5)) < 1e-15
+
+
+@pytest.mark.parametrize("func", [lambda v: np.sign(v - 0.3),
+                                  lambda v: np.full_like(v, np.nan)],
+                         ids=["jump", "nan"])
+def test_adaptive_integral_raises_when_unconverged(func):
+    # a jump off the split point, or nan, never lets two levels agree
+    with pytest.raises(ArithmeticError, match="did not converge"):
+        adaptive_phi_integral(func)
 
 
 def test_adaptive_integral_handles_sharp_lorentzian():
