@@ -22,10 +22,9 @@ from .dispersion import (BAND_EDGE, DispersionPoint, DispersionTable,
                          xi_of_c_quadrature)
 from .direct import (ModeOperator, ModeTrajectory, default_rk4_dt, evolve_mode,
                      relaxation_distance, rk4_stability_limit, step)
-from .gds import (DEFAULT_TRUNCATION, FieldSnapshot, GridMismatchError,
-                  KineticStateSpectral, SpectralDensity, evolve_density, kernel_kv,
-                  lift_to_kinetic, make_band_limited_density, pide_residual,
-                  to_physical)
+from .gds import (DEFAULT_TRUNCATION, FieldSnapshot, KineticStateSpectral,
+                  SpectralDensity, evolve_density, kernel_kv, lift_to_kinetic,
+                  make_band_limited_density, pide_residual, to_physical)
 from .diagnostics import (ResidualReport, Tolerances, compare_gds_direct,
                           continuity_residual, fit_convergence_order,
                           spectral_continuity_residual)
@@ -41,8 +40,8 @@ __all__ = [
     "xi_of_c_quadrature",
     "ModeOperator", "ModeTrajectory", "default_rk4_dt", "evolve_mode",
     "relaxation_distance", "rk4_stability_limit", "step",
-    "DEFAULT_TRUNCATION", "FieldSnapshot", "GridMismatchError",
-    "KineticStateSpectral", "SpectralDensity", "evolve_density", "kernel_kv",
+    "DEFAULT_TRUNCATION", "FieldSnapshot", "KineticStateSpectral", "SpectralDensity",
+    "evolve_density", "kernel_kv",
     "lift_to_kinetic", "make_band_limited_density", "pide_residual", "to_physical",
     "ResidualReport", "Tolerances", "compare_gds_direct", "continuity_residual",
     "fit_convergence_order", "spectral_continuity_residual",

@@ -152,11 +152,10 @@ class DispersionPoint:
 
 
 def dispersion_point(xi: float, **kwargs) -> DispersionPoint:
-    """Solve the dispersion relation at xi and package the derived fields."""
-    c = c_of_xi(xi, **kwargs)
-    b = xi * c
-    lam = b - 1.0
-    return DispersionPoint(xi=float(xi), c=c, b=b, a=lam / xi, lam=lam)
+    """Solve the dispersion relation at xi: one row of ``build_table``."""
+    table = build_table([xi], **kwargs)
+    return DispersionPoint(**{name: float(getattr(table, name)[0])
+                              for name in ("xi", "c", "b", "a", "lam")})
 
 
 def transfer_function(data, grid) -> np.ndarray:
@@ -272,11 +271,12 @@ def build_table(xi_values, *, xi_min: float = DEFAULT_XI_MIN,
     xi = np.unique(np.asarray(xi_values, dtype=float))
     c = c_of_xi(xi, xi_min=xi_min, edge_margin=edge_margin, residual_tol=residual_tol)
     b = xi * c
-    bad = ~((b > 0.0) & (b < 1.0))  # b rounds to 1 below xi ~ 1e-8
-    if np.any(bad):
-        raise ValueError(f"b = xi*c must lie in (0, 1), got {float(b[bad][0])!r} "
-                         f"at xi={float(xi[bad][0])!r}")
     lam = b - 1.0
+    bad = ~((b > 0.0) & (lam < -2.0**-49))  # 8 ulps of 1: -xi^2/2 is lost below ~6e-8
+    if np.any(bad):
+        raise UnsupportedFrequencyError(
+            f"b = xi*c must lie in (0, 1 - 2**-49), got {float(b[bad][0])!r} at xi="
+            f"{float(xi[bad][0])!r}; lambda = b - 1 is rounding noise for |xi| < ~6e-8")
     meta = {"xi_residual_tol": residual_tol, "xi_min": xi_min,
             "edge_margin": edge_margin, "count": len(xi)}
     if metadata:

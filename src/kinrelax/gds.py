@@ -25,15 +25,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dispersion import SQRT_PI, DispersionTable, transfer_function
-from .quadrature import VelocityGrid
+from .direct import ModeOperator
+from .quadrature import VelocityGrid, norm_phi
 
 DEFAULT_TRUNCATION = 0.95 * SQRT_PI
 
 PROFILE_NAMES = ("gaussian-bump", "hann-band", "single-mode")
-
-
-class GridMismatchError(ValueError):
-    """Physical and spectral grids disagree (L != 2*pi/dxi or shape clash)."""
 
 
 def _real_checked(values: np.ndarray, what: str, tol: float = 1e-10) -> np.ndarray:
@@ -244,16 +241,15 @@ def _synthesize(values: np.ndarray, modes: int, x_points: int, L: float) -> np.n
     return np.fft.ifft(packed, axis=0) * (x_points / L)
 
 
-def to_physical(state, x_points: int, L: float | None = None,
-                table: DispersionTable | None = None,
+def to_physical(state, x_points: int, table: DispersionTable | None = None,
                 include_f: bool = False) -> FieldSnapshot:
-    """Inverse transform to x_points samples on the periodic domain [0, L).
+    """Inverse transform to x_points samples on the periodic domain [0, 2*pi/dxi).
 
     ``state`` is a SpectralDensity (needs ``table`` for the flux, which is
     i*a(xi)*rho_hat) or a KineticStateSpectral (density and flux are its
     own velocity moments).  x_points must be a power of two with
     x_points >= 2*(modes + 1) so the extreme modes stay strictly below the
-    Nyquist index.  L, if given, must equal 2*pi/dxi.
+    Nyquist index.
     """
     if isinstance(state, SpectralDensity):
         xi_grid = state.xi_grid
@@ -277,13 +273,7 @@ def to_physical(state, x_points: int, L: float | None = None,
 
     modes = (len(xi_grid) - 1) // 2
     dxi = float(xi_grid[1] - xi_grid[0])
-    L_grid = 2.0 * math.pi / dxi
-    if L is None:
-        L = L_grid
-    elif abs(L - L_grid) > 1e-9 * L_grid:
-        raise GridMismatchError(
-            f"L={L!r} does not match 2*pi/dxi={L_grid!r} for this spectral grid"
-        )
+    L = 2.0 * math.pi / dxi
     if x_points < 2 * (modes + 1):
         raise ValueError(f"x_points={x_points} must be >= 2*(modes+1)={2 * (modes + 1)}")
     if x_points & (x_points - 1):
@@ -338,12 +328,11 @@ def pide_residual(state: KineticStateSpectral, table: DispersionTable,
         raise ValueError(f"unknown residual mode {mode!r}; use 'analytic' or 'fd'")
     if mode == "fd" and dt_probe <= 0:
         raise ValueError("dt_probe must be positive")
-    w, v = state.grid.weights, state.grid.nodes
     idx = np.nonzero(np.any(state.f_hat, axis=1))[0]
-    xi = state.xi_grid[idx, None]
-    lam = table.lam[table.index_of(state.xi_grid[idx])][:, None]
+    xi = state.xi_grid[idx]
+    lam = table.lam[table.index_of(xi)][:, None]
     f = state.f_hat[idx]
     if mode == "fd":
         lam = (np.exp(lam * dt_probe) - np.exp(-lam * dt_probe)) / (2.0 * dt_probe)
-    r = lam * f + (1.0 + 1j * xi * v) * f - (f @ w)[:, None]
-    return float(np.max(np.sqrt(np.abs(r) ** 2 @ w), initial=0.0))
+    r = lam * f - ModeOperator(xi=xi, grid=state.grid).apply(f)
+    return float(np.max(norm_phi(r, state.grid), initial=0.0))

@@ -8,6 +8,10 @@ density phi(v) = exp(-v^2)/sqrt(pi).  The grid realizes
 with Gauss-Hermite nodes, exact for polynomials of degree <= 2*order - 1,
 and carries the bilinear pairing <f, g>_phi = sum_j w_j f_j g_j.
 
+Velocity is the last axis: every grid function is an array of shape
+(..., order).  A single vector pairs to a scalar and a stack of vectors to
+one value per row, so a batch of states needs no Python loop.
+
 ``adaptive_phi_integral`` is a deliberately separate exp-sinh
 (double-exponential) trapezoid rule over the whole line; it shares nothing
 with the Gauss-Hermite path and serves as the cross-check for every value
@@ -63,9 +67,9 @@ def build_grid(order: int) -> VelocityGrid:
 
 
 def as_grid_array(values, grid: VelocityGrid) -> np.ndarray:
-    """Validate that ``values`` is a 1D array matching the grid length."""
+    """Validate that ``values`` is an array whose last axis matches the grid."""
     values = np.asarray(values)
-    if values.shape != (grid.order,):
+    if values.ndim == 0 or values.shape[-1] != grid.order:
         raise ValueError(
             f"array of shape {values.shape} does not match grid order {grid.order}"
         )
@@ -73,7 +77,7 @@ def as_grid_array(values, grid: VelocityGrid) -> np.ndarray:
 
 
 def inner_product_phi(f, g, grid: VelocityGrid):
-    """Bilinear pairing sum_j w_j f_j g_j.
+    """Bilinear pairing sum_j w_j f_j g_j over the last axis.
 
     No conjugation is applied: complex inputs (Fourier modes) are paired
     with the plain product, matching the real-valued convention of the
@@ -81,19 +85,19 @@ def inner_product_phi(f, g, grid: VelocityGrid):
     """
     f = as_grid_array(f, grid)
     g = as_grid_array(g, grid)
-    return np.sum(grid.weights * f * g)
+    return np.sum(grid.weights * f * g, axis=-1)
 
 
 def norm_phi(f, grid: VelocityGrid) -> float:
-    """Weighted L2 norm sqrt(sum_j w_j |f_j|^2)."""
+    """Weighted L2 norm sqrt(sum_j w_j |f_j|^2): a float, or one per row."""
     f = as_grid_array(f, grid)
-    return float(np.sqrt(np.sum(grid.weights * np.abs(f) ** 2)))
+    return np.sqrt(np.sum(grid.weights * np.abs(f) ** 2, axis=-1))
 
 
 def moment(f, k: int, grid: VelocityGrid):
-    """k-th velocity moment sum_j w_j v_j^k f_j."""
+    """k-th velocity moment sum_j w_j v_j^k f_j over the last axis."""
     f = as_grid_array(f, grid)
-    return np.sum(grid.weights * grid.nodes**k * f)
+    return np.sum(grid.weights * grid.nodes**k * f, axis=-1)
 
 
 def integrate_phi(f, grid: VelocityGrid):
@@ -117,7 +121,8 @@ def adaptive_phi_integral(func):
     Mori, 1974), halving the step until two levels agree to 1e-13 of the sum
     of |terms| (the integral when func >= 0).  ``func`` gets one array of new
     nodes per level, minus those where exp(-v^2) underflows; complex values
-    are fine.  Raises ArithmeticError if the step reaches 2**-13 first.
+    are fine.  Raises ArithmeticError at the first non-finite level sum, or
+    if the step reaches 2**-13 first.
     """
 
     def terms(t):  # integrand in t at the nodes t, both half-lines summed
@@ -128,15 +133,15 @@ def adaptive_phi_integral(func):
         f = np.broadcast_to(func(x), x.shape)
         return w * (f[: v.size] + f[v.size:])
 
-    h = 0.5
+    h, prev = 0.5, math.nan
     g = terms(np.arange(-5.0, 3.0 + h, h))
     total, size = h * np.sum(g), h * np.sum(np.abs(g))
-    while h > 2.0**-13:
+    while np.isfinite(total) and h > 2.0**-13:  # an inf or nan sum never converges
         h *= 0.5
         g = terms(np.arange(-5.0 + h, 3.0, 2.0 * h))  # the odd multiples of the new step
         prev, total = total, 0.5 * total + h * np.sum(g)
         size = 0.5 * size + h * np.sum(np.abs(g))
         if abs(total - prev) <= 1e-13 * size:
             return total.item()
-    raise ArithmeticError(f"exp-sinh sum did not converge (last two levels {prev.item()!r}"
-                          f", {total.item()!r}); does the integrand jump or hold a nan?")
+    raise ArithmeticError(f"exp-sinh sum did not converge (last two levels {prev:.17g}, "
+                          f"{total:.17g}); does the integrand jump, or hold an inf or a nan?")

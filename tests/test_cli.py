@@ -3,7 +3,10 @@ import json
 import numpy as np
 import pytest
 
-from kinrelax.cli import ConfigError, RunConfig, main
+from kinrelax.cli import ConfigError, RunConfig, _property_rows, main
+from kinrelax.collision import (apply_collision, check_mass_conservation,
+                                check_negative_semidefinite, check_self_adjoint)
+from kinrelax.quadrature import build_grid, norm_phi
 
 FAST = ["--modes", "10", "--xi-max", "0.6", "--times", "0.5,1",
         "--x-points", "32", "--n-velocity", "32"]
@@ -253,3 +256,61 @@ def test_profile_flag_over_a_non_object_profile_exits_2(tmp_path):
     assert run(["build-gds", *FAST, "--config", cfg, "--out", tmp_path]) == 2
     assert run(["build-gds", *FAST, "--config", cfg, "--profile", "gaussian-bump",
                 "--out", tmp_path]) == 0
+
+
+def test_compare_at_long_times_passes(tmp_path):
+    # states decayed below the square root of the smallest double used to
+    # make the ray distance raise "zero-norm state" and exit 2
+    assert run(["compare", "--modes", "10", "--times", "2000", "--out", tmp_path]) == 0
+
+
+def test_rk4_compare_with_uncountable_steps_is_a_config_error(tmp_path, capsys):
+    # span / dt overflowed to inf inside math.ceil: an OverflowError traceback
+    assert run(["compare", *FAST, "--method", "rk4", "--times", "1e308",
+                "--out", tmp_path]) == 2
+    assert "not finite" in capsys.readouterr().err
+
+
+def test_build_gds_below_the_usable_band_is_a_config_error(tmp_path, capsys):
+    # lambda = b - 1 is rounding noise at |xi| <= 1e-9: used to exit 0
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"xi_max": 1e-9, "modes": 2}))
+    with pytest.warns(RuntimeWarning, match="near-edge"):
+        assert run(["build-gds", "--config", cfg, "--out", tmp_path / "o"]) == 2
+    assert "b = xi*c" in capsys.readouterr().err
+
+
+def _per_draw_reference(config):
+    """The battery's random-draw rows computed the old way: one size-N draw
+    at a time, one check per draw, in the battery's stream order."""
+    grid = build_grid(config.n_velocity)
+    rng = np.random.default_rng(config.seed)
+    rows = {"mass_conservation_max": 0.0, "self_adjoint_max": 0.0,
+            "negative_semidefinite_max": -np.inf, "operator_norm_ratio": 0.0}
+    for _ in range(1000):
+        f = rng.standard_normal(grid.order) + 1j * rng.standard_normal(grid.order)
+        rows["mass_conservation_max"] = max(rows["mass_conservation_max"],
+                                            check_mass_conservation(f, grid))
+    for _ in range(200):
+        f = rng.standard_normal(grid.order)
+        g = rng.standard_normal(grid.order)
+        rows["self_adjoint_max"] = max(rows["self_adjoint_max"],
+                                       check_self_adjoint(f, g, grid))
+    for _ in range(200):
+        f = rng.standard_normal(grid.order)
+        rows["negative_semidefinite_max"] = max(rows["negative_semidefinite_max"],
+                                                check_negative_semidefinite(f, grid))
+    rng = np.random.default_rng(config.seed)  # operator_norm_bound_check's own stream
+    for _ in range(1000):
+        f = rng.standard_normal(grid.order) + 1j * rng.standard_normal(grid.order)
+        ratio = norm_phi(apply_collision(f, grid), grid) / norm_phi(f, grid)
+        rows["operator_norm_ratio"] = max(rows["operator_norm_ratio"], ratio)
+    return rows
+
+
+def test_property_battery_matches_per_draw_reference():
+    config = RunConfig.from_dict({"n_velocity": 24, "modes": 10, "xi_max": 0.6,
+                                  "x_points": 32, "seed": 3})
+    rows = {name: value for name, value, _ in _property_rows(config)}
+    for name, expected in _per_draw_reference(config).items():
+        assert rows[name] == expected, name  # bitwise: same draws, same row sums

@@ -116,3 +116,39 @@ def test_mass_conservation_uses_bilinear_pairing(grid):
     f = grid.nodes + 1j * grid.nodes**2
     cf = apply_collision(f, grid)
     assert abs(inner_product_phi(cf, np.ones(grid.order), grid)) < 1e-12
+
+
+def test_stack_matches_per_row_calls_bitwise(grid):
+    rng = np.random.default_rng(31)
+    z = rng.standard_normal((300, 3, grid.order))
+    f, g, fc = z[:, 0], z[:, 1], z[:, 0] + 1j * z[:, 2]
+    cases = [
+        (apply_collision(fc, grid), [apply_collision(r, grid) for r in fc]),
+        (check_mass_conservation(fc, grid), [check_mass_conservation(r, grid) for r in fc]),
+        (check_self_adjoint(f, g, grid),
+         [check_self_adjoint(a, b, grid) for a, b in zip(f, g)]),
+        (check_negative_semidefinite(f, grid),
+         [check_negative_semidefinite(r, grid) for r in f]),
+    ]
+    for stacked, rows in cases:
+        assert stacked.shape == np.shape(rows)
+        assert np.array_equal(stacked, rows)
+    # a leading stack shape of any rank is fine; velocity stays the last axis
+    assert check_mass_conservation(fc.reshape(3, 100, -1), grid).shape == (3, 100)
+    assert isinstance(check_negative_semidefinite(f[0], grid), float)
+
+
+def test_stack_rejects_a_wrong_velocity_axis(grid):
+    with pytest.raises(ValueError, match="grid order"):
+        apply_collision(np.ones((grid.order, 3)), grid)
+    with pytest.raises(ValueError, match="grid order"):
+        check_mass_conservation(1.0, grid)
+
+
+def test_operator_norm_bound_matches_per_draw_reference(grid):
+    rng = np.random.default_rng(7)
+    worst = 0.0
+    for _ in range(300):
+        f = rng.standard_normal(grid.order) + 1j * rng.standard_normal(grid.order)
+        worst = max(worst, norm_phi(apply_collision(f, grid), grid) / norm_phi(f, grid))
+    assert operator_norm_bound_check(grid, samples=300, seed=7) == worst

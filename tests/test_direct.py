@@ -1,8 +1,10 @@
+import warnings
+
 import numpy as np
 import pytest
 
-from kinrelax.direct import (ModeOperator, default_rk4_dt, evolve_mode, propagate,
-                             relaxation_distance, rk4_stability_limit, step)
+from kinrelax.direct import (ModeOperator, default_rk4_dt, distance_to_ray, evolve_mode,
+                             propagate, relaxation_distance, rk4_stability_limit, step)
 from kinrelax.dispersion import dispersion_point, transfer_function
 from kinrelax.quadrature import build_grid, inner_product_phi, norm_phi
 
@@ -204,3 +206,52 @@ def test_default_rk4_step_is_the_smallest_of_the_block(grid):
     slow = propagate(f0[:1], xi[:1], grid, [0.5], method="rk4",
                      dt=default_rk4_dt(0.9, grid))
     assert np.max(np.abs(block[0, 0] - slow[0, 0])) < 1e-13 * np.max(np.abs(slow))
+
+
+def test_mode_operator_stack_matches_per_row_operators(grid):
+    rng = np.random.default_rng(13)
+    xi = np.linspace(-1.7, 1.7, 40)
+    f = rng.standard_normal((40, 64)) + 1j * rng.standard_normal((40, 64))
+    op = ModeOperator(xi=xi, grid=grid)
+    dense, applied = op.dense(), op.apply(f)
+    assert dense.shape == (40, 64, 64) and applied.shape == (40, 64)
+    w, v = grid.weights, grid.nodes
+    for x, d, g, a in zip(xi, dense, f, applied):
+        row = ModeOperator(xi=x, grid=grid)
+        assert np.array_equal(d, row.dense())
+        assert np.array_equal(d, np.outer(np.ones(64), w) - np.diag(1.0 + 1j * x * v))
+        ref = row.apply(g)
+        assert np.max(np.abs(a - ref)) <= 1e-14 * np.max(np.abs(ref))
+    assert np.array_equal(rk4_stability_limit(xi, grid),
+                          [rk4_stability_limit(x, grid) for x in xi])
+    assert np.array_equal(default_rk4_dt(xi, grid), [default_rk4_dt(x, grid) for x in xi])
+    assert isinstance(rk4_stability_limit(0.5, grid), float)
+    assert isinstance(default_rk4_dt(0.5, grid), float)
+
+
+def test_hydrodynamic_eigenpair_stack_matches_rows(grid):
+    xi = np.array([0.1, 0.45, -0.8, 1.3])
+    mu, u = ModeOperator(xi=xi, grid=grid).hydrodynamic_eigenpair()
+    assert mu.shape == (4,) and u.shape == (4, 64)
+    for x, m, vec in zip(xi, mu, u):
+        m_row, u_row = ModeOperator(xi=x, grid=grid).hydrodynamic_eigenpair()
+        assert m == m_row
+        assert np.max(np.abs(vec - u_row)) < 1e-12 * np.max(np.abs(u_row))
+
+
+def test_distance_to_ray_is_scale_free_and_zero_at_zero(grid):
+    K = transfer_function(dispersion_point(0.5), grid)
+    f = K + 0.1 * np.random.default_rng(2).standard_normal(64)
+    # |f|^2 of the second and third rows underflows to 0 without rescaling
+    d = distance_to_ray(np.array([f, f * 2.0**-600, 1e-300 * f, np.zeros(64)]), K, grid)
+    assert 0.0 < d[0] == d[1]
+    assert d[2] == pytest.approx(d[0], rel=1e-14)
+    assert d[3] == 0.0
+
+
+@pytest.mark.parametrize("method,dt", [("rk4", None), ("exact-dense", 1e-10)])
+def test_uncountable_step_count_is_a_value_error(grid, method, dt):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="not finite"):
+            propagate(np.ones((1, 64)), [0.5], grid, [1e308], method=method, dt=dt)

@@ -295,3 +295,30 @@ def test_table_json_has_metadata(tmp_path):
     assert doc["format_version"] == 1
     assert "xi_residual_tol" in doc["metadata"]
     assert len(doc["points"]) == 2
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("xi", [1e-12, 1e-10, 1e-9, 5e-9, 1e-8, 2e-8, 3e-8])
+def test_frequencies_whose_rate_is_rounding_noise_are_rejected(xi):
+    # lambda = b - 1 within 8 ulps of 0 used to pass at 1e-9 (-1.1e-16 where
+    # -xi^2/2 = -5e-19) while 1e-8 and 1e-12 raised
+    for sign in (1.0, -1.0):
+        with pytest.raises(UnsupportedFrequencyError, match="b = xi"):
+            build_table([sign * xi, 0.5])
+        with pytest.raises(UnsupportedFrequencyError, match="b = xi"):
+            dispersion_point(sign * xi)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_smallest_usable_frequency_has_the_hydrodynamic_rate():
+    xi = 1e-7
+    for lam in (build_table([xi]).lam[0], dispersion_point(xi).lam):
+        assert lam == pytest.approx(-0.5 * xi * xi, rel=0.05)
+
+
+def test_dispersion_point_is_one_table_row():
+    table = build_table([-1.2, 0.3, 1.7])
+    for j, xi in enumerate(table.xi):
+        p = dispersion_point(xi)
+        assert (p.xi, p.c, p.b, p.a, p.lam) == (table.xi[j], table.c[j], table.b[j],
+                                                table.a[j], table.lam[j])

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from kinrelax.dispersion import build_table, dispersion_point, transfer_function
-from kinrelax.gds import (GridMismatchError, KineticStateSpectral, SpectralDensity,
+from kinrelax.gds import (KineticStateSpectral, SpectralDensity,
                           evolve_density, kernel_kv, lift_to_kinetic,
                           make_band_limited_density, pide_residual, to_physical)
 from kinrelax.quadrature import SQRT_PI, build_grid
@@ -228,8 +228,6 @@ def test_parseval_consistency(grid):
 
 def test_grid_mismatch_and_size_validation(grid):
     rho0, table = small_setup()
-    with pytest.raises(GridMismatchError):
-        to_physical(rho0, 64, L=0.5 * rho0.domain_length, table=table)
     with pytest.raises(ValueError, match="power of two"):
         to_physical(rho0, 48, table=table)
     with pytest.raises(ValueError, match=">="):

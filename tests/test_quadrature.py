@@ -1,7 +1,10 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kinrelax.quadrature import (SQRT_PI, adaptive_phi_integral, build_grid,
                                  gaussian_moment, inner_product_phi, integrate_phi,
@@ -154,3 +157,38 @@ def test_adaptive_integral_handles_sharp_lorentzian():
 def test_grid_is_immutable(grid64):
     with pytest.raises(ValueError):
         grid64.nodes[0] = 0.0
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(2, 64), st.lists(st.integers(1, 4), max_size=3),
+       st.integers(0, 2**32 - 1))
+def test_pairings_over_stacks_match_per_row(order, lead, seed):
+    grid = build_grid(order)
+    rng = np.random.default_rng(seed)
+    f = rng.standard_normal((*lead, order)) + 1j * rng.standard_normal((*lead, order))
+    g = rng.standard_normal((*lead, order))
+    rows_f, rows_g = f.reshape(-1, order), g.reshape(-1, order)
+    for stacked, per_row in [
+        (inner_product_phi(f, g, grid),
+         [inner_product_phi(a, b, grid) for a, b in zip(rows_f, rows_g)]),
+        (norm_phi(f, grid), [norm_phi(a, grid) for a in rows_f]),
+        (moment(f, 3, grid), [moment(a, 3, grid) for a in rows_f]),
+        (integrate_phi(g, grid), [integrate_phi(b, grid) for b in rows_g]),
+    ]:
+        assert np.shape(stacked) == tuple(lead)
+        assert np.array_equal(np.reshape(stacked, -1), per_row)
+
+
+def test_pairings_reject_a_wrong_velocity_axis(grid64):
+    with pytest.raises(ValueError, match="grid order"):
+        norm_phi(np.ones((64, 3)), grid64)
+    with pytest.raises(ValueError, match="grid order"):
+        inner_product_phi(2.0, np.ones(64), grid64)
+
+
+def test_adaptive_integral_raises_at_the_first_infinite_sum():
+    # inf - inf in the convergence test used to warn twelve times first
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ArithmeticError, match="did not converge"):
+            adaptive_phi_integral(lambda v: np.where(v > 0.3, np.inf, 1.0))
