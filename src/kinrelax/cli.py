@@ -114,7 +114,7 @@ class RunConfig:
                                for k, v in merged["profile"].items()},
                       times=[float(t) for t in merged["times"]],
                       tolerances=Tolerances.from_dict(merged["tolerances"]), raw=merged)
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:  # int(inf) overflows
             raise ConfigError(f"invalid config value: {exc}") from exc
         cfg.validate()
         return cfg
@@ -435,6 +435,8 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
         "out", "n_velocity", "xi_max", "modes", "x_points", "method", "seed",
         "inject_lambda_error", "fail_fast")}
     if args.times is not None:
+        if args.command == "solve-direct":
+            raise ConfigError("solve-direct takes t_final, dt and output_stride, not --times")
         try:
             overrides["times"] = [float(tok) for tok in args.times.split(",") if tok]
         except ValueError as exc:

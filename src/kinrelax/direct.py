@@ -82,8 +82,8 @@ def default_rk4_dt(xi, grid: VelocityGrid):
     return 0.01 / (1.0 + np.abs(xi) * grid.vmax)
 
 
-# Modes advanced together.  Bounds the (BLOCK, N, N) propagators of the
-# exact path and the states a caller holds at once, and lets each RK4 block
+# Modes advanced together.  Bounds the (BLOCK, N, N) propagators and their
+# powers and the states a caller holds at once, and lets each RK4 block
 # step at the smallest default step of its own modes.
 BLOCK = 16
 
@@ -92,17 +92,17 @@ def propagate(f0, xi, grid: VelocityGrid, times, method: str = "exact-dense",
               dt: float | None = None) -> np.ndarray:
     """States of modes f0 (modes, N) at xi (modes,), shape (len(times), modes, N).
 
-    'rk4' is the classical explicit scheme on A f = D*f + (f @ w)[:, None],
-    rejected above the stability bound of any mode in a block; 'exact-dense'
-    is the high-trust path.  Blocks of BLOCK modes make one pass through the
-    sorted distinct times (``times`` may be unsorted or repeated).  With a
-    step dt, each span between them takes the fewest equal steps no longer
-    than dt, ending on its output time (a step within 1e-9 of dt is taken as
-    dt, so evenly spaced outputs share one); 'exact-dense' steps by the
-    matrix exponential.  Without dt, 'rk4' steps each block at the smallest
-    ``default_rk4_dt`` of its modes and 'exact-dense' evaluates every time
-    from one stacked eigendecomposition per block.  A step count that is
-    not finite (times / dt overflows) raises ValueError.
+    Blocks of BLOCK modes make one pass through the sorted distinct times
+    (``times`` may be unsorted or repeated).  With a step dt, each span
+    between them is the fewest equal steps no longer than dt ending on its
+    output time (a step within 1e-9 of dt is dt, so evenly spaced outputs
+    share one), taken as one matrix power of expm(hA) for 'exact-dense' or,
+    for 'rk4', of T4(hA) = I + hA(I + hA/2(I + hA/3(I + hA/4))): exactly one
+    classical RK4 step, rejected above the stability bound of any mode in a
+    block.  Without dt, 'rk4' steps at the smallest ``default_rk4_dt`` of a
+    block and 'exact-dense', the high-trust path, uses one stacked
+    eigendecomposition per block.  A step count that is not finite (times /
+    dt overflows) raises ValueError.
     """
     xi = np.atleast_1d(np.asarray(xi, dtype=float))
     f0 = np.asarray(f0, dtype=complex)
@@ -133,7 +133,9 @@ def propagate(f0, xi, grid: VelocityGrid, times, method: str = "exact-dense",
 
 
 def _march(f, op: ModeOperator, method: str, stops, dt, out) -> None:
-    """Advance one block from t=0 through the sorted stops into out[k]."""
+    """Advance one block from t=0 through the sorted stops into out[k]: a span
+    of n steps h is one matvec by P(h)^n, P formed once per distinct h and the
+    last power, the only one kept, reused by equal consecutive spans."""
     if dt is None:  # exact-dense: one eigendecomposition serves every time
         mu, vecs = np.linalg.eig(op.dense())
         coeff = np.linalg.solve(vecs, f[..., None])[..., 0]
@@ -141,22 +143,17 @@ def _march(f, op: ModeOperator, method: str, stops, dt, out) -> None:
         out[:] = np.swapaxes(grow @ np.swapaxes(vecs, -1, -2), 0, 1)
         out[stops == 0.0] = f  # no eigenbasis roundtrip at t = 0
         return
-    prop_h = None
+    prop_h = power_hn = None
     for k, span in enumerate(np.diff(stops, prepend=0.0)):
         n = max(1, math.ceil(span / dt - 1e-9)) if span > 0.0 else 0
         h = dt if abs(n * dt - span) <= 1e-9 * span else span / n
-        for _ in range(n):
-            if method == "rk4":
-                k1 = op.apply(f)
-                k2 = op.apply(f + 0.5 * h * k1)
-                k3 = op.apply(f + 0.5 * h * k2)
-                k4 = op.apply(f + h * k3)
-                f = f + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            else:
-                if h != prop_h:  # one-step propagators of the block
-                    prop_h, prop = h, linalg.expm(op.dense() * h)
-                f = (prop @ f[:, :, None])[:, :, 0]
-        out[k] = f
+        if n and (h, n) != power_hn:
+            if h != prop_h:  # one-step propagators of the block
+                hA, eye = op.dense() * h, np.eye(op.grid.order)
+                prop_h, prop = h, linalg.expm(hA) if method == "exact-dense" else \
+                    eye + hA @ (eye + hA @ (eye + hA @ (eye + hA / 4.0) / 3.0) / 2.0)
+            power_hn, power = (h, n), np.linalg.matrix_power(prop, n)
+        out[k] = f = (power @ f[:, :, None])[:, :, 0] if n else f
 
 
 def step(f, xi: float, grid: VelocityGrid, dt: float, method: str = "rk4") -> np.ndarray:

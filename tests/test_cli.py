@@ -58,6 +58,9 @@ def test_config_defaults_validate():
     {"profile": {"name": "gaussian-bump", "sigma": "x"}},
     {"tolerances": {"gds_vs_direct": "abc"}},
     {"tolerances": {"gds_vs_direct": float("nan")}},
+    *({key: float("inf")} for key in ("n_velocity", "modes", "x_points", "seed",
+                                      "dispersion_samples", "identity_samples",
+                                      "output_stride")),
 ])
 def test_config_rejections(bad):
     with pytest.raises(ConfigError):
@@ -269,6 +272,24 @@ def test_rk4_compare_with_uncountable_steps_is_a_config_error(tmp_path, capsys):
     assert run(["compare", *FAST, "--method", "rk4", "--times", "1e308",
                 "--out", tmp_path]) == 2
     assert "not finite" in capsys.readouterr().err
+
+
+def test_rk4_compare_past_full_underflow_passes(tmp_path):
+    # about 2e302 RK4 steps: a per-step loop never ended; powers of T4(hA)
+    # take about 1,000 squarings, and both sides underflow to 0
+    assert run(["compare", "--modes", "4", "--method", "rk4", "--times", "1e300",
+                "--out", tmp_path]) == 0
+    doc = json.loads((tmp_path / "compare.json").read_text())
+    assert doc["reports"][0]["max_residual"] == 0.0
+
+
+def test_solve_direct_times_flag_is_a_config_error(tmp_path, capsys):
+    # used to exit 0 and silently write the default trajectories
+    assert run(["solve-direct", "--modes", "4", "--times", "1e308",
+                "--out", tmp_path]) == 2
+    err = capsys.readouterr().err
+    assert all(key in err for key in ("t_final", "dt", "output_stride"))
+    assert not (tmp_path / "trajectories").exists()
 
 
 def test_build_gds_below_the_usable_band_is_a_config_error(tmp_path, capsys):

@@ -1,7 +1,9 @@
+import math
 import warnings
 
 import numpy as np
 import pytest
+from scipy import linalg
 
 from kinrelax.direct import (ModeOperator, default_rk4_dt, distance_to_ray, evolve_mode,
                              propagate, relaxation_distance, rk4_stability_limit, step)
@@ -255,3 +257,49 @@ def test_uncountable_step_count_is_a_value_error(grid, method, dt):
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match="not finite"):
             propagate(np.ones((1, 64)), [0.5], grid, [1e308], method=method, dt=dt)
+
+
+def _rk4_stage_step(op, f, h):
+    """One classical four-stage RK4 step, the update the T4(hA) powers replace."""
+    k1 = op.apply(f)
+    k2 = op.apply(f + 0.5 * h * k1)
+    k3 = op.apply(f + 0.5 * h * k2)
+    k4 = op.apply(f + h * k3)
+    return f + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
+def _stepped_reference(f, xi, grid, stops, method, dt):
+    """States at the sorted stops by one step at a time: RK4 stages, or one
+    expm(hA) matvec per step, over propagate's span rule for n and h."""
+    op = ModeOperator(xi=xi, grid=grid)
+    out = []
+    for span in np.diff(stops, prepend=0.0):
+        n = max(1, math.ceil(span / dt - 1e-9)) if span > 0.0 else 0
+        h = dt if abs(n * dt - span) <= 1e-9 * span else span / n
+        prop = linalg.expm(op.dense() * h) if method == "exact-dense" else None
+        for _ in range(n):
+            f = _rk4_stage_step(op, f, h) if method == "rk4" else (prop @ f[..., None])[..., 0]
+        out.append(f)
+    return np.array(out)
+
+
+@pytest.mark.parametrize("method,dt", [("rk4", None), ("rk4", 0.007), ("exact-dense", 0.007)])
+def test_propagator_powers_match_step_by_step_reference(grid, method, dt):
+    # uneven spans that dt does not divide: every span has its own h and n
+    rng = np.random.default_rng(17)
+    xi = np.array([0.1, 0.5, 0.9])
+    f0 = rng.standard_normal((3, 64)) + 1j * rng.standard_normal((3, 64))
+    stops = np.array([0.3, 0.5, 1.7])
+    got = propagate(f0, xi, grid, stops, method=method, dt=dt)
+    ref = _stepped_reference(f0, xi, grid, stops, method,
+                             dt or float(np.min(default_rk4_dt(xi, grid))))
+    scale = np.max(np.abs(ref), axis=-1, keepdims=True)
+    assert np.max(np.abs(got - ref) / scale) < 1e-12
+
+
+def test_one_rk4_step_is_the_stage_update(grid):
+    rng = np.random.default_rng(19)
+    f = rng.standard_normal(64) + 1j * rng.standard_normal(64)
+    h = default_rk4_dt(0.9, grid)
+    ref = _rk4_stage_step(ModeOperator(xi=0.9, grid=grid), f, h)
+    assert np.max(np.abs(step(f, 0.9, grid, h, method="rk4") - ref)) < 1e-14 * np.max(np.abs(ref))
