@@ -15,6 +15,7 @@ import json
 import math
 import sys
 from dataclasses import astuple, dataclass, field, fields
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -24,7 +25,7 @@ from .collision import (apply_collision, check_mass_conservation,
                         check_negative_semidefinite, check_self_adjoint,
                         collision_matrix, operator_norm_bound_check)
 from .diagnostics import (Tolerances, compare_gds_direct, direct_unit_modes,
-                          report_to_json, spectral_continuity_residual)
+                          spectral_continuity_residual)
 from .direct import ModeOperator, output_times
 from .dispersion import (SQRT_PI, build_table, c_of_xi, transfer_function, xi_of_c,
                          xi_of_c_quadrature)
@@ -165,22 +166,21 @@ class RunConfig:
         return "exact-dense" if self.method == "exact" else "rk4"
 
     def hash(self) -> str:
+        return self._hash
+
+    @cached_property
+    def _hash(self) -> str:  # once per run: raw is fixed at resolution
         hashed = {k: v for k, v in self.raw.items() if k != "out"}
         blob = json.dumps(hashed, sort_keys=True, separators=(",", ":"),
                           default=str)
         return hashlib.sha256(blob.encode()).hexdigest()[:12]
 
 
-def _fmt(value) -> str:
-    return f"{value:.17g}"
-
-
 def write_csv(path: Path, columns, rows, config: RunConfig, extra_meta=()) -> None:
-    lines = [f"# kinrelax {__version__}", f"# config-hash: {config.hash()}"]
-    lines.extend(f"# {item}" for item in extra_meta)
-    lines.append(",".join(columns))
-    for row in rows:
-        lines.append(",".join(_fmt(v) for v in row))
+    template = ",".join(["%.17g"] * len(columns))  # each value as f"{v:.17g}"
+    lines = [f"# kinrelax {__version__}", f"# config-hash: {config.hash()}",
+             *(f"# {item}" for item in extra_meta), ",".join(columns)]
+    lines.extend(template % tuple(row) for row in rows)
     path.write_text("\n".join(lines) + "\n")
 
 
@@ -238,15 +238,15 @@ def cmd_build_gds(config: RunConfig, out: Path) -> int:
         tag = _tag(t)
         write_csv(out / f"spectral_t{tag}.csv", ("xi", "re_rho_hat", "im_rho_hat"),
                   [(x, z.real, z.imag) for x, z in zip(rho_t.xi_grid, rho_t.rho_hat)],
-                  config, extra_meta=(f"time={_fmt(t)}",))
+                  config, extra_meta=(f"time={t:.17g}",))
         write_csv(out / f"fields_t{tag}.csv", ("x", "rho", "flux"),
                   zip(snap.x_grid, snap.rho, snap.flux), config,
-                  extra_meta=(f"time={_fmt(t)}", f"domain_length={_fmt(snap.domain_length)}"))
+                  extra_meta=(f"time={t:.17g}", f"domain_length={snap.domain_length:.17g}"))
         if config.include_kinetic and snap.f is not None:
             cols = ["x"] + [f"f_v{j}" for j in range(grid.order)]
             write_csv(out / f"kinetic_t{tag}.csv", cols,
                       (np.concatenate(([x], frow)) for x, frow in zip(snap.x_grid, snap.f)),
-                      config, extra_meta=(f"time={_fmt(t)}",))
+                      config, extra_meta=(f"time={t:.17g}",))
             write_json(out / f"kinetic_t{tag}_columns.json", {
                 "columns": cols,
                 "velocity_nodes": grid.nodes.tolist(),
@@ -271,7 +271,7 @@ def cmd_solve_direct(config: RunConfig, out: Path) -> int:
                   ("t", "re_rho_hat", "im_rho_hat", "gds_distance"),
                   [(t, d.real, d.imag, s) for t, d, s in
                    zip(times, rho0.rho_hat[i] * unit[:, k], dist[:, k])],
-                  config, extra_meta=(f"xi={_fmt(xi)}", f"method={config.solver_method}"))
+                  config, extra_meta=(f"xi={xi:.17g}", f"method={config.solver_method}"))
     print(f"solve-direct: wrote {unit.shape[1]} mode trajectories to {traj_dir}")
     return 0
 
@@ -285,7 +285,8 @@ def cmd_compare(config: RunConfig, out: Path) -> int:
         tolerance=config.tolerances.gds_vs_direct,
         lambda_offset=config.inject_lambda_error,
     )
-    report_to_json([report], out / "compare.json")
+    doc = {"reports": [report.to_dict()], "all_passed": report.passed}
+    write_json(out / "compare.json", doc, config)
     write_csv(out / "compare.csv", ("max_residual", "l2_residual", "tolerance"),
               [(report.max_residual, report.l2_residual, report.tolerance)],
               config, extra_meta=(f"passed={report.passed}",))

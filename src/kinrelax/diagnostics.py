@@ -5,7 +5,6 @@ discrete L2 in x, max over frequency modes.  Tolerances live in one
 place (``Tolerances``) so pass/fail is reproducible.
 """
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -214,11 +213,3 @@ def fit_convergence_order(steps, errors) -> float:
         raise ValueError("steps and errors must be positive for a log-log fit")
     return float(np.polyfit(np.log(steps), np.log(errors), 1)[0])
 
-
-def report_to_json(reports, path) -> None:
-    """Write a list of ResidualReports as one JSON document."""
-    doc = {"reports": [r.to_dict() for r in reports],
-           "all_passed": all(r.passed for r in reports)}
-    with open(path, "w") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True, default=float)
-        fh.write("\n")

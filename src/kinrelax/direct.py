@@ -5,9 +5,13 @@ ODEs f_t = A_xi f on the velocity grid, one per frequency, with
 
     A_xi f = -(1 + i xi v) f + <f, 1>_phi.
 
-Nothing in the time stepping uses the dispersion construction: the
-eigendecomposition, matrix exponential and RK4 paths below are the
-derivation-free oracle the rest of the package is validated against.
+On the exactly symmetric grid, e_j = f(v_j) + f(-v_j) at each node v_j >= 0 and
+q_j = i (f(v_j) - f(-v_j)) at its mirror make A_xi the real matrix
+R = [[-I + 2 1 w_h^T, -xi V_h], [xi V_h, -I]] over the half grid v_h (a centre
+node v = 0 has e = 2 f(0), no q, and coefficient 1, not 2).  This is exact by
+grid symmetry, not by dispersion: the eigendecomposition, matrix exponential
+and RK4 paths run in real arithmetic and form the derivation-free oracle the
+rest of the package is validated against.
 ``relaxation_distance`` is the one deliberate exception; it measures the
 distance of an evolving state to the density-determined ray, which
 requires the transfer function.
@@ -128,32 +132,48 @@ def propagate(f0, xi, grid: VelocityGrid, times, method: str = "exact-dense",
                 raise ValueError(f"dt={h:g} exceeds the RK4 stability bound {limit:g}")
         if h is not None and not math.isfinite(float(np.max(stops, initial=0.0)) / h):
             raise ValueError(f"the step count {np.max(stops):g} / dt={h:g} is not finite")
-        _march(f0[blk], ModeOperator(xi=xi[blk], grid=grid), method, stops, h, out[:, blk])
+        _march(f0[blk], xi[blk], grid, method, stops, h, out[:, blk])
     return out if np.array_equal(stops, times) else out[order]
 
 
-def _march(f, op: ModeOperator, method: str, stops, dt, out) -> None:
-    """Advance one block from t=0 through the sorted stops into out[k]: a span
-    of n steps h is one matvec by P(h)^n, P formed once per distinct h and the
-    last power, the only one kept, reused by equal consecutive spans."""
+def to_parity(f, grid: VelocityGrid) -> np.ndarray:
+    """Nodal states (..., N) to parity coordinates (see the module docstring)."""
+    return np.where(grid.nodes >= 0.0, f + f[..., ::-1], 1j * (f[..., ::-1] - f))
+
+
+def from_parity(y, grid: VelocityGrid) -> np.ndarray:
+    """Inverse of ``to_parity``: f(+-v) = (e -+ i q) / 2."""
+    up, mirror = grid.nodes >= 0.0, y[..., ::-1]
+    return (np.where(up, y, mirror) - 1j * np.sign(grid.nodes) * np.where(up, mirror, y)) / 2
+
+
+def _march(f, xi, grid: VelocityGrid, method: str, stops, dt, out) -> None:
+    """Advance one block from t=0 through the sorted stops into out[k], in parity
+    coordinates, where A_xi is R = 1_e (w (1 + sign v))^T - I - xi diag(v) J (J the
+    mirror): n steps h are one matvec by P(h)^n, P made once per h, the last power reused."""
+    v, eye, y = grid.nodes, np.eye(grid.order), to_parity(f, grid)
+    R = (np.outer(v >= 0.0, grid.weights * (1.0 + np.sign(v))) - eye
+         - np.multiply.outer(xi, v[:, None] * eye[::-1]))
     if dt is None:  # exact-dense: one eigendecomposition serves every time
-        mu, vecs = np.linalg.eig(op.dense())
-        coeff = np.linalg.solve(vecs, f[..., None])[..., 0]
+        mu, vecs = np.linalg.eig(R)
+        coeff = np.linalg.solve(vecs, y[..., None])[..., 0]
         grow = np.exp(mu[:, None, :] * stops[:, None]) * coeff[:, None, :]
         out[:] = np.swapaxes(grow @ np.swapaxes(vecs, -1, -2), 0, 1)
-        out[stops == 0.0] = f  # no eigenbasis roundtrip at t = 0
-        return
     prop_h = power_hn = None
-    for k, span in enumerate(np.diff(stops, prepend=0.0)):
+    for k, span in enumerate(np.diff(stops, prepend=0.0) if dt else ()):
         n = max(1, math.ceil(span / dt - 1e-9)) if span > 0.0 else 0
         h = dt if abs(n * dt - span) <= 1e-9 * span else span / n
         if n and (h, n) != power_hn:
             if h != prop_h:  # one-step propagators of the block
-                hA, eye = op.dense() * h, np.eye(op.grid.order)
-                prop_h, prop = h, linalg.expm(hA) if method == "exact-dense" else \
-                    eye + hA @ (eye + hA @ (eye + hA @ (eye + hA / 4.0) / 3.0) / 2.0)
+                hR = R * h
+                prop_h, prop = h, linalg.expm(hR) if method == "exact-dense" else \
+                    eye + hR @ (eye + hR @ (eye + hR @ (eye + hR / 4.0) / 3.0) / 2.0)
             power_hn, power = (h, n), np.linalg.matrix_power(prop, n)
-        out[k] = f = (power @ f[:, :, None])[:, :, 0] if n else f
+        if n:  # the real power acts on the real and imaginary parts at once
+            y = (power @ y.view(float).reshape(*y.shape, 2)).view(complex)[..., 0]
+        out[k] = y
+    out[:] = from_parity(out, grid)
+    out[stops == 0.0] = f  # no basis roundtrip at t = 0
 
 
 def step(f, xi: float, grid: VelocityGrid, dt: float, method: str = "rk4") -> np.ndarray:

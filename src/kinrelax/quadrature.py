@@ -39,6 +39,9 @@ class VelocityGrid:
             raise ValueError(f"grid order must be >= 2, got {self.order}")
         if self.nodes.shape != (self.order,) or self.weights.shape != (self.order,):
             raise ValueError("nodes/weights length must equal the grid order")
+        if not (np.array_equal(self.nodes, -self.nodes[::-1])
+                and np.array_equal(self.weights, self.weights[::-1])):
+            raise ValueError("nodes and weights must be exactly symmetric about v = 0")
         self.nodes.setflags(write=False)
         self.weights.setflags(write=False)
 

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from kinrelax.cli import ConfigError, RunConfig, _property_rows, main
+from kinrelax.cli import ConfigError, RunConfig, _property_rows, main, write_csv
 from kinrelax.collision import (apply_collision, check_mass_conservation,
                                 check_negative_semidefinite, check_self_adjoint)
 from kinrelax.quadrature import build_grid, norm_phi
@@ -200,6 +200,24 @@ def test_headers_carry_version_and_hash(tmp_path):
     assert run(["dispersion", "--out", out]) == 0
     disp = (out / "dispersion.csv").read_text()
     assert "kinrelax 0.1.0" in disp and "config_hash" in disp
+
+
+def test_compare_json_carries_version_and_hash(tmp_path):
+    assert run(["compare", *FAST, "--out", tmp_path]) == 0
+    doc = json.loads((tmp_path / "compare.json").read_text())
+    assert doc["artifact"] == "kinrelax 0.1.0"
+    assert f"# config-hash: {doc['config_hash']}" in (tmp_path / "compare.csv").read_text()
+    assert doc["all_passed"] is True
+    assert [r["name"] for r in doc["reports"]] == ["gds-vs-direct"]
+
+
+def test_csv_rows_match_per_value_formatting(tmp_path):
+    values = [float("nan"), float("inf"), -float("inf"), -0.0, 5e-324, 1e308, 0.1, 2]
+    rows = [values, np.array(values), [np.float64(v) for v in values]]
+    write_csv(tmp_path / "v.csv", [f"c{j}" for j in range(len(values))], rows,
+              RunConfig.from_dict({}))
+    lines = (tmp_path / "v.csv").read_text().splitlines()[-3:]
+    assert lines == [",".join(f"{v:.17g}" for v in row) for row in rows]
 
 
 def test_runtime_validation_maps_to_exit_2(tmp_path):

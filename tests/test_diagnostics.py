@@ -4,7 +4,7 @@ from scipy import linalg
 
 from kinrelax.diagnostics import (ResidualReport, Tolerances, compare_gds_direct,
                                   continuity_residual, fit_convergence_order,
-                                  report_to_json, spectral_continuity_residual)
+                                  spectral_continuity_residual)
 from kinrelax.direct import ModeOperator, propagate
 from kinrelax.dispersion import build_table, transfer_function
 from kinrelax.gds import (FieldSnapshot, evolve_density, lift_to_kinetic,
@@ -29,16 +29,6 @@ def test_report_pass_iff_max_below_tolerance():
     bad = ResidualReport("x", np.array([1e-9, 2e-7]), tolerance=1e-7)
     assert not bad.passed
     assert "FAIL" in bad.format_text()
-
-
-def test_report_json(tmp_path):
-    import json
-    rep = ResidualReport("demo", np.array([1e-9]), tolerance=1e-7)
-    path = tmp_path / "r.json"
-    report_to_json([rep], path)
-    doc = json.loads(path.read_text())
-    assert doc["all_passed"] is True
-    assert doc["reports"][0]["name"] == "demo"
 
 
 def test_tolerances_overrides():

@@ -6,7 +6,8 @@ import pytest
 from scipy import linalg
 
 from kinrelax.direct import (ModeOperator, default_rk4_dt, distance_to_ray, evolve_mode,
-                             propagate, relaxation_distance, rk4_stability_limit, step)
+                             from_parity, propagate, relaxation_distance,
+                             rk4_stability_limit, step, to_parity)
 from kinrelax.dispersion import dispersion_point, transfer_function
 from kinrelax.quadrature import build_grid, inner_product_phi, norm_phi
 
@@ -303,3 +304,50 @@ def test_one_rk4_step_is_the_stage_update(grid):
     h = default_rk4_dt(0.9, grid)
     ref = _rk4_stage_step(ModeOperator(xi=0.9, grid=grid), f, h)
     assert np.max(np.abs(step(f, 0.9, grid, h, method="rk4") - ref)) < 1e-14 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("order", [2, 7, 64])
+def test_parity_round_trip_within_one_ulp(order):
+    rng = np.random.default_rng(order)
+    scale = 10.0 ** rng.uniform(-300, 300, size=(200, 1))
+    f = (rng.standard_normal((200, order)) + 1j * rng.standard_normal((200, order))) * scale
+    grid = build_grid(order)
+    y = to_parity(f, grid)
+    assert y.shape == f.shape
+    err = np.abs((from_parity(y, grid) - f).view(float)).max(axis=-1)
+    assert np.all(err <= np.spacing(np.abs(f).max(axis=-1)))
+
+
+@pytest.mark.parametrize("order", [2, 7, 64])
+@pytest.mark.parametrize("method,dt", [("exact-dense", None), ("exact-dense", 0.01),
+                                       ("rk4", None)])
+def test_parity_paths_match_the_nodal_generator(order, method, dt):
+    # the exact paths against expm(t A) on the complex nodal state; RK4 against
+    # its own nodal stage loop, since its discretisation error (about 1e-10 at
+    # the default step) is what differs from expm
+    grid = build_grid(order)
+    rng = np.random.default_rng(order + 1)
+    xi = np.array([0.0, 0.4, -1.1, 1.7])
+    f0 = rng.standard_normal((4, order)) + 1j * rng.standard_normal((4, order))
+    stops = np.array([0.0, 0.3, 1.0])
+    got = propagate(f0, xi, grid, stops, method=method, dt=dt)
+    if method == "rk4":
+        ref = _stepped_reference(f0, xi, grid, stops, method,
+                                 float(np.min(default_rk4_dt(xi, grid))))
+    else:
+        A = ModeOperator(xi=xi, grid=grid).dense()
+        ref = np.array([(linalg.expm(t * A) @ f0[..., None])[..., 0] for t in stops])
+    assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+def test_direct_paths_use_neither_erfcx_nor_hermite_nodes(grid, monkeypatch):
+    import scipy.special
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the direct oracle must not use this")
+
+    monkeypatch.setattr(scipy.special, "erfcx", forbidden)
+    monkeypatch.setattr(np.polynomial.hermite, "hermgauss", forbidden)
+    f0 = np.ones((2, 64), dtype=complex)
+    for method, dt in (("exact-dense", None), ("exact-dense", 0.1), ("rk4", None)):
+        assert np.all(np.isfinite(propagate(f0, [0.3, 0.9], grid, [0.5], method, dt)))

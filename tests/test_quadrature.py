@@ -6,9 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kinrelax.quadrature import (SQRT_PI, adaptive_phi_integral, build_grid,
-                                 gaussian_moment, inner_product_phi, integrate_phi,
-                                 moment, norm_phi)
+from kinrelax.quadrature import (SQRT_PI, VelocityGrid, adaptive_phi_integral,
+                                 build_grid, gaussian_moment, inner_product_phi,
+                                 integrate_phi, moment, norm_phi)
 
 
 @pytest.fixture(scope="module")
@@ -40,6 +40,19 @@ def test_nodes_increasing_and_antisymmetric(order):
     g = build_grid(order)
     assert np.all(np.diff(g.nodes) > 0)
     assert np.max(np.abs(g.nodes + g.nodes[::-1])) < 1e-12
+
+
+def test_grid_must_be_exactly_symmetric():
+    g = build_grid(7)
+    nodes, weights = g.nodes.copy(), g.weights.copy()
+    nodes[0] = np.nextafter(nodes[0], 0.0)  # one ulp off its mirror
+    weights[1] *= 1.0 + 2.0**-52
+    with pytest.raises(ValueError, match="symmetric"):
+        VelocityGrid(nodes=nodes, weights=g.weights.copy(), order=7)
+    with pytest.raises(ValueError, match="symmetric"):
+        VelocityGrid(nodes=g.nodes.copy(), weights=weights, order=7)
+    for order in (*range(2, 41), 64, 127, 370):  # hermgauss symmetrises
+        build_grid(order)
 
 
 @pytest.mark.parametrize("order", [2, 4, 64])
