@@ -168,7 +168,7 @@ def compare_gds_direct(rho0: SpectralDensity, times, table: DispersionTable,
     exp(lam t) rho0_hat and the directly integrated mode density.
 
     The direct side (``direct_unit_modes``) integrates the dense mode ODE
-    by eigendecomposition for 'exact-dense' or by stepping for 'rk4'; it
+    by scaling and squaring for 'exact-dense' or by stepping for 'rk4'; it
     never touches the dispersion solve.  Residuals run mode by mode in
     grid order, times in the given order.  ``lambda_offset`` corrupts the
     closed-form rate on purpose, for sensitivity checks.

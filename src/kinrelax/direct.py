@@ -9,9 +9,10 @@ On the exactly symmetric grid, e_j = f(v_j) + f(-v_j) at each node v_j >= 0 and
 q_j = i (f(v_j) - f(-v_j)) at its mirror make A_xi the real matrix
 R = [[-I + 2 1 w_h^T, -xi V_h], [xi V_h, -I]] over the half grid v_h (a centre
 node v = 0 has e = 2 f(0), no q, and coefficient 1, not 2).  This is exact by
-grid symmetry, not by dispersion: the eigendecomposition, matrix exponential
-and RK4 paths run in real arithmetic and form the derivation-free oracle the
-rest of the package is validated against.
+grid symmetry, not by dispersion: the matrix exponential, by scaling and
+squaring (Higham, 2005; eigenvectors are "dubious" for a nonnormal R, Moler &
+Van Loan, 2003), and RK4 run in real arithmetic as the derivation-free oracle
+the rest of the package is validated against.
 ``relaxation_distance`` is the one deliberate exception; it measures the
 distance of an evolving state to the density-determined ray, which
 requires the transfer function.
@@ -86,6 +87,9 @@ def default_rk4_dt(xi, grid: VelocityGrid):
     return 0.01 / (1.0 + np.abs(xi) * grid.vmax)
 
 
+# Largest ||hA||_1 that expm's degree-13 Pade approximant takes unsquared (Higham, 2005)
+THETA13 = 5.371920351148152
+
 # Modes advanced together.  Bounds the (BLOCK, N, N) propagators and their
 # powers and the states a caller holds at once, and lets each RK4 block
 # step at the smallest default step of its own modes.
@@ -104,9 +108,10 @@ def propagate(f0, xi, grid: VelocityGrid, times, method: str = "exact-dense",
     for 'rk4', of T4(hA) = I + hA(I + hA/2(I + hA/3(I + hA/4))): exactly one
     classical RK4 step, rejected above the stability bound of any mode in a
     block.  Without dt, 'rk4' steps at the smallest ``default_rk4_dt`` of a
-    block and 'exact-dense', the high-trust path, uses one stacked
-    eigendecomposition per block.  A step count that is not finite (times /
-    dt overflows) raises ValueError.
+    block, and 'exact-dense', the high-trust path, scales and squares: a
+    span is 2^s steps h, s >= 0 the least with h ||R||_1 <= THETA13, so the
+    power is s squarings of expm(hR).  A step count that is not finite
+    (times / dt overflows) raises ValueError.
     """
     xi = np.atleast_1d(np.asarray(xi, dtype=float))
     f0 = np.asarray(f0, dtype=complex)
@@ -154,26 +159,44 @@ def _march(f, xi, grid: VelocityGrid, method: str, stops, dt, out) -> None:
     v, eye, y = grid.nodes, np.eye(grid.order), to_parity(f, grid)
     R = (np.outer(v >= 0.0, grid.weights * (1.0 + np.sign(v))) - eye
          - np.multiply.outer(xi, v[:, None] * eye[::-1]))
-    if dt is None:  # exact-dense: one eigendecomposition serves every time
-        mu, vecs = np.linalg.eig(R)
-        coeff = np.linalg.solve(vecs, y[..., None])[..., 0]
-        grow = np.exp(mu[:, None, :] * stops[:, None]) * coeff[:, None, :]
-        out[:] = np.swapaxes(grow @ np.swapaxes(vecs, -1, -2), 0, 1)
+    if dt is None:  # log2(||R||_1 / THETA13) of the block, so s never overflows
+        scale = math.log2(float(np.max(np.abs(R).sum(axis=-2))) / THETA13)
     prop_h = power_hn = None
-    for k, span in enumerate(np.diff(stops, prepend=0.0) if dt else ()):
-        n = max(1, math.ceil(span / dt - 1e-9)) if span > 0.0 else 0
-        h = dt if abs(n * dt - span) <= 1e-9 * span else span / n
-        if n and (h, n) != power_hn:
-            if h != prop_h:  # one-step propagators of the block
-                hR = R * h
-                prop_h, prop = h, linalg.expm(hR) if method == "exact-dense" else \
-                    eye + hR @ (eye + hR @ (eye + hR @ (eye + hR / 4.0) / 3.0) / 2.0)
-            power_hn, power = (h, n), np.linalg.matrix_power(prop, n)
-        if n:  # the real power acts on the real and imaginary parts at once
+    for k, span in enumerate(np.diff(stops, prepend=0.0)):
+        if span > 0.0:
+            if dt:
+                n = max(1, math.ceil(span / dt - 1e-9))
+                h = dt if abs(n * dt - span) <= 1e-9 * span else span / n
+            else:
+                s = max(0, math.ceil(math.log2(span) + scale))
+                n, h = 1 << s, math.ldexp(span, -s)
+            if (h, n) != power_hn:
+                if h != prop_h:  # one-step propagators of the block
+                    hR = R * h
+                    prop_h, prop = h, linalg.expm(hR) if method == "exact-dense" else \
+                        eye + hR @ (eye + hR @ (eye + hR @ (eye + hR / 4.0) / 3.0) / 2.0)
+                power_hn, power = (h, n), _power(prop, n)
+            # the real power acts on the real and imaginary parts at once
             y = (power @ y.view(float).reshape(*y.shape, 2)).view(complex)[..., 0]
         out[k] = y
     out[:] = from_parity(out, grid)
     out[stops == 0.0] = f  # no basis roundtrip at t = 0
+
+
+def _power(P, n: int) -> np.ndarray:
+    """P^n for n >= 1 by the products of ``np.linalg.matrix_power``, but with no
+    squaring past an exactly zero square: a span far past underflow stops early."""
+    if n == 3:
+        return P @ P @ P
+    power = P if n % 2 else None
+    while n > 1:
+        P, n = P @ P, n // 2
+        # the diagonal first: a full scan costs about a sixth of a product
+        if not P.diagonal(0, -2, -1).any() and not P.any():
+            return P
+        if n % 2:
+            power = P if power is None else power @ P
+    return power
 
 
 def step(f, xi: float, grid: VelocityGrid, dt: float, method: str = "rk4") -> np.ndarray:

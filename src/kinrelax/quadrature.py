@@ -58,9 +58,9 @@ def build_grid(order: int) -> VelocityGrid:
     """
     if order < 2:
         raise ValueError(f"grid order must be >= 2, got {order}")
-    with np.errstate(all="ignore"):
+    with np.errstate(all="ignore"):  # all weights underflow to 0 at order 371
         nodes, weights = np.polynomial.hermite.hermgauss(order)
-    weights = weights / weights.sum()  # physicists' weights sum to sqrt(pi)
+        weights = weights / weights.sum()  # physicists' weights sum to sqrt(pi)
     if not np.all(np.isfinite(weights)) or np.any(weights <= 0.0):
         raise ValueError(
             f"order {order} loses weight positivity in the node computation; "

@@ -301,6 +301,13 @@ def test_rk4_compare_past_full_underflow_passes(tmp_path):
     assert doc["reports"][0]["max_residual"] == 0.0
 
 
+def test_exact_compare_past_full_underflow_passes(tmp_path):
+    # exp(mu t) of the eigendecomposition overflowed: a nan reported as a failure
+    assert run(["compare", "--modes", "4", "--times", "1e308", "--out", tmp_path]) == 0
+    doc = json.loads((tmp_path / "compare.json").read_text())
+    assert doc["reports"][0]["max_residual"] == 0.0
+
+
 def test_solve_direct_times_flag_is_a_config_error(tmp_path, capsys):
     # used to exit 0 and silently write the default trajectories
     assert run(["solve-direct", "--modes", "4", "--times", "1e308",

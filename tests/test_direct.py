@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 from scipy import linalg
 
-from kinrelax.direct import (ModeOperator, default_rk4_dt, distance_to_ray, evolve_mode,
-                             from_parity, propagate, relaxation_distance,
+from kinrelax.direct import (ModeOperator, _power, default_rk4_dt, distance_to_ray,
+                             evolve_mode, from_parity, propagate, relaxation_distance,
                              rk4_stability_limit, step, to_parity)
 from kinrelax.dispersion import dispersion_point, transfer_function
 from kinrelax.quadrature import build_grid, inner_product_phi, norm_phi
@@ -351,3 +351,48 @@ def test_direct_paths_use_neither_erfcx_nor_hermite_nodes(grid, monkeypatch):
     f0 = np.ones((2, 64), dtype=complex)
     for method, dt in (("exact-dense", None), ("exact-dense", 0.1), ("rk4", None)):
         assert np.all(np.isfinite(propagate(f0, [0.3, 0.9], grid, [0.5], method, dt)))
+
+
+@pytest.mark.parametrize("order", [2, 7, 64])
+def test_exact_path_matches_dense_eigendecomposition(order):
+    # the reference the scaling-and-squaring path replaced: one eig of the nodal
+    # complex generator serves every time, here unsorted and from 0 to 2000
+    grid = build_grid(order)
+    rng = np.random.default_rng(order + 2)
+    xi = np.array([0.0, 0.4, -1.1, 1.7])
+    f0 = rng.standard_normal((4, order)) + 1j * rng.standard_normal((4, order))
+    times = np.array([3.0, 0.0, 2000.0, 1e-300, 0.5])
+    mu, vecs = np.linalg.eig(ModeOperator(xi=xi, grid=grid).dense())
+    coeff = np.linalg.solve(vecs, f0[..., None])
+    ref = np.array([(vecs @ (np.exp(mu * t)[..., None] * coeff))[..., 0] for t in times])
+    got = propagate(f0, xi, grid, times, method="exact-dense")
+    assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+def test_exact_path_past_full_underflow_is_zero(grid):
+    # exp(mu t) of the eigendecomposition overflowed to inf and gave nan
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = propagate(np.ones((2, 64)), [0.3, 0.9], grid, [1e308], method="exact-dense")
+    assert np.all(np.isfinite(got)) and not np.any(got)
+
+
+class _CountedProducts(np.ndarray):
+    products = 0
+
+    def __matmul__(self, other):
+        _CountedProducts.products += 1
+        return super().__matmul__(other)
+
+
+def test_power_is_matrix_power_and_stops_at_zero():
+    rng = np.random.default_rng(23)
+    P = rng.standard_normal((3, 9, 9)) / 3.0
+    shift = np.roll(np.eye(9), 1, axis=0)  # every square has a zero diagonal
+    for n in [*range(1, 40), 64, 100, 255, 256, 1000, 1023]:
+        assert np.array_equal(_power(P, n), np.linalg.matrix_power(P, n)), n
+        assert np.array_equal(_power(shift, n), np.linalg.matrix_power(shift, n)), n
+    decaying = (0.05 * P).view(_CountedProducts)
+    _CountedProducts.products = 0
+    assert not np.any(_power(decaying, 2**1007 + 1))
+    assert _CountedProducts.products < 30  # not 1,008 products
