@@ -27,8 +27,8 @@ from .collision import (apply_collision, check_mass_conservation,
 from .diagnostics import (Tolerances, compare_gds_direct, direct_unit_modes,
                           spectral_continuity_residual)
 from .direct import ModeOperator, output_times
-from .dispersion import (SQRT_PI, build_table, c_of_xi, transfer_function, xi_of_c,
-                         xi_of_c_quadrature)
+from .dispersion import (SQRT_PI, build_table, c_of_xi, transfer_function, write_rows,
+                         xi_of_c, xi_of_c_quadrature)
 from .gds import (PROFILE_NAMES, evolve_density, lift_to_kinetic,
                   make_band_limited_density, to_physical)
 from .quadrature import build_grid, gaussian_moment, moment
@@ -177,11 +177,9 @@ class RunConfig:
 
 
 def write_csv(path: Path, columns, rows, config: RunConfig, extra_meta=()) -> None:
-    template = ",".join(["%.17g"] * len(columns))  # each value as f"{v:.17g}"
-    lines = [f"# kinrelax {__version__}", f"# config-hash: {config.hash()}",
-             *(f"# {item}" for item in extra_meta), ",".join(columns)]
-    lines.extend(template % tuple(row) for row in rows)
-    path.write_text("\n".join(lines) + "\n")
+    with open(path, "w") as fh:
+        write_rows(fh, [f"# kinrelax {__version__}", f"# config-hash: {config.hash()}",
+                        *(f"# {item}" for item in extra_meta), ",".join(columns)], rows)
 
 
 def write_json(path: Path, payload: dict, config: RunConfig) -> None:
@@ -237,16 +235,16 @@ def cmd_build_gds(config: RunConfig, out: Path) -> int:
         snap = to_physical(state, config.x_points, include_f=config.include_kinetic)
         tag = _tag(t)
         write_csv(out / f"spectral_t{tag}.csv", ("xi", "re_rho_hat", "im_rho_hat"),
-                  [(x, z.real, z.imag) for x, z in zip(rho_t.xi_grid, rho_t.rho_hat)],
+                  np.column_stack([rho_t.xi_grid, rho_t.rho_hat.real, rho_t.rho_hat.imag]),
                   config, extra_meta=(f"time={t:.17g}",))
         write_csv(out / f"fields_t{tag}.csv", ("x", "rho", "flux"),
-                  zip(snap.x_grid, snap.rho, snap.flux), config,
+                  np.column_stack([snap.x_grid, snap.rho, snap.flux]), config,
                   extra_meta=(f"time={t:.17g}", f"domain_length={snap.domain_length:.17g}"))
         if config.include_kinetic and snap.f is not None:
             cols = ["x"] + [f"f_v{j}" for j in range(grid.order)]
             write_csv(out / f"kinetic_t{tag}.csv", cols,
-                      (np.concatenate(([x], frow)) for x, frow in zip(snap.x_grid, snap.f)),
-                      config, extra_meta=(f"time={t:.17g}",))
+                      np.column_stack([snap.x_grid, snap.f]), config,
+                      extra_meta=(f"time={t:.17g}",))
             write_json(out / f"kinetic_t{tag}_columns.json", {
                 "columns": cols,
                 "velocity_nodes": grid.nodes.tolist(),
@@ -267,11 +265,11 @@ def cmd_solve_direct(config: RunConfig, out: Path) -> int:
                                    method=config.solver_method, dt=config.dt)
     for k, i in enumerate(rho0.active_indices()):
         xi = float(rho0.xi_grid[i])
+        d = rho0.rho_hat[i] * unit[:, k]
         write_csv(traj_dir / f"mode_{_tag(xi)}.csv",
                   ("t", "re_rho_hat", "im_rho_hat", "gds_distance"),
-                  [(t, d.real, d.imag, s) for t, d, s in
-                   zip(times, rho0.rho_hat[i] * unit[:, k], dist[:, k])],
-                  config, extra_meta=(f"xi={xi:.17g}", f"method={config.solver_method}"))
+                  np.column_stack([times, d.real, d.imag, dist[:, k]]), config,
+                  extra_meta=(f"xi={xi:.17g}", f"method={config.solver_method}"))
     print(f"solve-direct: wrote {unit.shape[1]} mode trajectories to {traj_dir}")
     return 0
 
@@ -460,9 +458,13 @@ def main(argv=None) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     out = Path(config.out)
-    out.mkdir(parents=True, exist_ok=True)
     try:
+        out.mkdir(parents=True, exist_ok=True)
         return COMMANDS[args.command](config, out)
+    except OSError as exc:  # an artifact path that cannot be created or written
+        print(f"config error: cannot write output to {exc.filename or out}: "
+              f"{exc.strerror or exc}", file=sys.stderr)
+        return 2
     except ValueError as exc:
         # validation raised after resolution (band, stability, grid shape, ...)
         print(f"config error: {exc}", file=sys.stderr)

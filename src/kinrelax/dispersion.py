@@ -41,6 +41,27 @@ XI_RESIDUAL_TOL = 1e-11
 TABLE_FORMAT_VERSION = 1
 
 
+CHUNK_ROWS = 256  # rows formatted per write: no artifact is held whole as text
+# One "points" entry of the table JSON at indent 2 with sorted keys, comma first.
+_JSON_POINT = (',\n    {\n      "a": %r,\n      "b": %r,\n      "c": %r,\n'
+               '      "lambda": %r,\n      "xi": %r\n    }')
+
+
+def _render_rows(rows, record: str):
+    """Yield the rows of a 2-D array through ``record``, CHUNK_ROWS per string."""
+    for start in range(0, len(rows), CHUNK_ROWS):
+        chunk = rows[start:start + CHUNK_ROWS]
+        yield (record * len(chunk)) % tuple(chunk.ravel().tolist())
+
+
+def write_rows(fh, head, rows) -> None:
+    """Write the ``head`` lines, then the rows of a 2-D float array as lines
+    of comma-separated f"{v:.17g}" values."""
+    rows = np.asarray(rows)
+    fh.writelines(line + "\n" for line in head)
+    fh.writelines(_render_rows(rows, ",".join(["%.17g"] * rows.shape[1]) + "\n"))
+
+
 class UnsupportedFrequencyError(ValueError):
     """Frequency outside the open admissible band 0 < |xi| < sqrt(pi)."""
 
@@ -218,15 +239,11 @@ class DispersionTable:
 
     def to_csv(self, path) -> None:
         """Write (xi, c, b, lambda) rows at 17 significant digits."""
-        lines = [f"# kinrelax dispersion table format v{TABLE_FORMAT_VERSION}"]
-        for key in sorted(self.metadata):
-            lines.append(f"# {key}={self.metadata[key]}")
-        lines.append("xi,c,b,lambda")
-        for j in range(len(self)):
-            lines.append(",".join(f"{v:.17g}" for v in
-                                  (self.xi[j], self.c[j], self.b[j], self.lam[j])))
+        head = [f"# kinrelax dispersion table format v{TABLE_FORMAT_VERSION}",
+                *(f"# {key}={self.metadata[key]}" for key in sorted(self.metadata)),
+                "xi,c,b,lambda"]
         with open(path, "w") as fh:
-            fh.write("\n".join(lines) + "\n")
+            write_rows(fh, head, np.column_stack([self.xi, self.c, self.b, self.lam]))
 
     @classmethod
     def from_csv(cls, path) -> "DispersionTable":
@@ -244,23 +261,21 @@ class DispersionTable:
                         metadata[key.strip()] = val.strip()
                     continue
                 rows.append([float(tok) for tok in line.split(",")])
-        data = np.array(rows)
-        xi, c, b, lam = data.T
+        xi, c, b, lam = np.array(rows, dtype=float).reshape(len(rows), 4).T
         return cls(xi=xi, c=c, b=b, a=lam / xi, lam=lam, metadata=metadata)
 
     def to_json(self, path) -> None:
-        doc = {
-            "format_version": TABLE_FORMAT_VERSION,
-            "metadata": {k: self.metadata[k] for k in sorted(self.metadata)},
-            "points": [
-                {"xi": self.xi[j], "c": self.c[j], "b": self.b[j],
-                 "a": self.a[j], "lambda": self.lam[j]}
-                for j in range(len(self))
-            ],
-        }
+        """The bytes of ``json.dump(doc, fh, indent=2, sort_keys=True)`` and "\\n"."""
+        head = json.dumps({"format_version": TABLE_FORMAT_VERSION, "metadata": self.metadata},
+                          indent=2, sort_keys=True)
+        rows = np.column_stack([self.a, self.b, self.c, self.lam, self.xi])
         with open(path, "w") as fh:
-            json.dump(doc, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+            fh.write(head[:-2] + ',\n  "points": [')  # reopen the head's closing "\n}"
+            for k, text in enumerate(_render_rows(rows, _JSON_POINT)):
+                # repr is json's float form except for the non-finite values
+                text = text.replace("nan", "NaN").replace("inf", "Infinity")
+                fh.write(text[1:] if k == 0 else text)  # no comma before the first
+            fh.write("\n  ]\n}\n" if len(rows) else "]\n}\n")
 
 
 def build_table(xi_values, *, xi_min: float = DEFAULT_XI_MIN,

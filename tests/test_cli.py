@@ -1,12 +1,20 @@
 import json
+import math
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from kinrelax.cli import ConfigError, RunConfig, _property_rows, main, write_csv
+from kinrelax import __version__
+from kinrelax.cli import (DEFAULT_CONFIG, REFERENCE_CURVE_XI, ConfigError, RunConfig,
+                          _property_rows, main, write_csv)
 from kinrelax.collision import (apply_collision, check_mass_conservation,
                                 check_negative_semidefinite, check_self_adjoint)
-from kinrelax.quadrature import build_grid, norm_phi
+from kinrelax.dispersion import CHUNK_ROWS, build_table
+from kinrelax.gds import (evolve_density, lift_to_kinetic, make_band_limited_density,
+                          to_physical)
+from kinrelax.quadrature import SQRT_PI, build_grid, norm_phi
 
 FAST = ["--modes", "10", "--xi-max", "0.6", "--times", "0.5,1",
         "--x-points", "32", "--n-velocity", "32"]
@@ -218,6 +226,98 @@ def test_csv_rows_match_per_value_formatting(tmp_path):
               RunConfig.from_dict({}))
     lines = (tmp_path / "v.csv").read_text().splitlines()[-3:]
     assert lines == [",".join(f"{v:.17g}" for v in row) for row in rows]
+
+
+def _reference_write_csv(path, columns, rows, config, extra_meta=()):
+    """write_csv as it was before rows were streamed: one joined string."""
+    template = ",".join(["%.17g"] * len(columns))
+    lines = [f"# kinrelax {__version__}", f"# config-hash: {config.hash()}",
+             *(f"# {item}" for item in extra_meta), ",".join(columns)]
+    lines.extend(template % tuple(row) for row in rows)
+    path.write_text("\n".join(lines) + "\n")
+
+
+@st.composite
+def float_rows(draw):
+    """A 2-D float array: random magnitudes over the whole double range with
+    signed zeros, subnormals, extremes, NaN and +-inf scattered in."""
+    n = draw(st.sampled_from([0, 1, CHUNK_ROWS - 1, CHUNK_ROWS, CHUNK_ROWS + 1])
+             | st.integers(0, 40))
+    ncols = draw(st.integers(1, 70))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    rows = rng.choice([-1.0, 1.0], (n, ncols)) * 10.0 ** rng.uniform(-323, 308, (n, ncols))
+    specials = st.sampled_from([-0.0, 5e-324, 1e308, math.nan, math.inf, -math.inf])
+    for value in draw(st.lists(specials | st.floats(), max_size=8)):
+        if n:
+            rows[rng.integers(n), rng.integers(ncols)] = value
+    return rows
+
+
+@settings(max_examples=30, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(float_rows(), st.lists(st.text(st.characters(blacklist_categories=("Cs",)),
+                                      max_size=12), max_size=3))
+def test_csv_writer_reproduces_the_reference_bytes(tmp_path, rows, extra_meta):
+    config = RunConfig.from_dict({})
+    columns = [f"c{j}" for j in range(rows.shape[1])]
+    write_csv(tmp_path / "new.csv", columns, rows, config, extra_meta)
+    _reference_write_csv(tmp_path / "ref.csv", columns, rows, config, extra_meta)
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+
+def _numeric_rows(path):
+    """The data rows of a CSV artifact, parsed by numpy after its header."""
+    lines = path.read_text().splitlines()
+    header = next(i for i, line in enumerate(lines) if not line.startswith("#"))
+    return np.loadtxt(path, delimiter=",", comments="#", skiprows=header + 1, ndmin=2)
+
+
+def test_artifacts_hold_the_library_arrays_exactly(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"include_kinetic": True, "dispersion_samples": 7,
+                               "modes": 6, "xi_max": 0.6, "n_velocity": 8,
+                               "x_points": 16, "times": [0.5, 2.0]}))
+    out = tmp_path / "o"
+    assert run(["dispersion", "--config", cfg, "--out", out]) == 0
+    assert run(["build-gds", "--config", cfg, "--out", out]) == 0
+
+    xi = np.concatenate([np.linspace(0.01, SQRT_PI - 1e-3, 7), REFERENCE_CURVE_XI])
+    table = build_table(np.concatenate([-xi, xi]))
+    csv = _numeric_rows(out / "dispersion.csv")
+    assert csv.tobytes() == np.column_stack([table.xi, table.c, table.b, table.lam]).tobytes()
+    points = json.loads((out / "dispersion.json").read_text())["points"]
+    for key, column in (("xi", table.xi), ("c", table.c), ("b", table.b), ("a", table.a),
+                        ("lambda", table.lam)):
+        assert np.array([p[key] for p in points]).tobytes() == column.tobytes(), key
+
+    grid = build_grid(8)
+    params = {k: v for k, v in DEFAULT_CONFIG["profile"].items() if k != "name"}
+    rho0 = make_band_limited_density("gaussian-bump", xi_max=0.6, modes=6, **params)
+    modes_table = build_table(rho0.active_frequencies())
+    for t, tag in ((0.5, "0p5"), (2.0, "2")):
+        rho_t = evolve_density(rho0, t, modes_table)
+        snap = to_physical(lift_to_kinetic(rho_t, modes_table, grid), 16, include_f=True)
+        for name, columns in (("spectral", [rho_t.xi_grid, rho_t.rho_hat.real,
+                                            rho_t.rho_hat.imag]),
+                              ("fields", [snap.x_grid, snap.rho, snap.flux]),
+                              ("kinetic", [snap.x_grid, snap.f])):
+            data = _numeric_rows(out / f"{name}_t{tag}.csv")
+            assert data.tobytes() == np.column_stack(columns).tobytes(), (name, t)
+
+
+def test_out_that_cannot_be_written_is_a_config_error(tmp_path, capsys):
+    # an --out naming a file used to end in a FileExistsError or
+    # NotADirectoryError traceback and exit 1, the tolerance-failure code
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    taken = tmp_path / "taken"
+    (taken / "dispersion.csv").mkdir(parents=True)  # an artifact path that is a directory
+    for out, named in ((blocker, blocker), (blocker / "sub", blocker / "sub"),
+                       (taken, taken / "dispersion.csv")):
+        assert run(["dispersion", "--out", out]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: cannot write output to {named}: "), err
+        assert err.count("\n") == 1
 
 
 def test_runtime_validation_maps_to_exit_2(tmp_path):

@@ -1,13 +1,15 @@
+import json
 import math
 import warnings
 
 import numpy as np
 import pytest
 import scipy.special
-from hypothesis import given
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from kinrelax.dispersion import (XI_RESIDUAL_TOL, DispersionPoint, DispersionTable,
+from kinrelax.dispersion import (CHUNK_ROWS, TABLE_FORMAT_VERSION, XI_RESIDUAL_TOL,
+                                 DispersionPoint, DispersionTable,
                                  UnsupportedFrequencyError, build_table, c_of_xi,
                                  dispersion_point, transfer_function, xi_of_c,
                                  xi_of_c_quadrature)
@@ -287,7 +289,6 @@ def test_table_csv_roundtrip(tmp_path):
 
 
 def test_table_json_has_metadata(tmp_path):
-    import json
     table = build_table([0.2, 0.4])
     path = tmp_path / "table.json"
     table.to_json(path)
@@ -295,6 +296,103 @@ def test_table_json_has_metadata(tmp_path):
     assert doc["format_version"] == 1
     assert "xi_residual_tol" in doc["metadata"]
     assert len(doc["points"]) == 2
+
+
+@pytest.mark.parametrize("n", [0, 1, 2 * CHUNK_ROWS + 3])
+def test_table_csv_roundtrip_is_bitwise_at_any_length(tmp_path, n):
+    # an empty table used to fail to read back (unpacking a 0-row array)
+    table = build_table(np.linspace(0.05, 1.7, n))
+    path = tmp_path / "table.csv"
+    table.to_csv(path)
+    back = DispersionTable.from_csv(path)
+    assert len(back) == n
+    for name in ("xi", "c", "b", "a", "lam"):
+        assert getattr(back, name).tobytes() == getattr(table, name).tobytes(), name
+
+
+# The table writers as they were before rows were streamed in chunks: the
+# byte reference the streamed writers must reproduce.
+def _reference_csv(table, path):
+    lines = [f"# kinrelax dispersion table format v{TABLE_FORMAT_VERSION}"]
+    for key in sorted(table.metadata):
+        lines.append(f"# {key}={table.metadata[key]}")
+    lines.append("xi,c,b,lambda")
+    for j in range(len(table)):
+        lines.append(",".join(f"{v:.17g}" for v in
+                              (table.xi[j], table.c[j], table.b[j], table.lam[j])))
+    with open(path, "w") as fh:
+        fh.write("\n".join(lines) + "\n")
+
+
+def _reference_json(table, path):
+    doc = {
+        "format_version": TABLE_FORMAT_VERSION,
+        "metadata": {k: table.metadata[k] for k in sorted(table.metadata)},
+        "points": [{"xi": table.xi[j], "c": table.c[j], "b": table.b[j],
+                    "a": table.a[j], "lambda": table.lam[j]} for j in range(len(table))],
+    }
+    with open(path, "w") as fh:
+        json.dump(doc, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+
+
+def _assert_writers_match_reference(table, tmp):
+    table.to_csv(tmp / "t.csv")
+    table.to_json(tmp / "t.json")
+    _reference_csv(table, tmp / "ref.csv")
+    _reference_json(table, tmp / "ref.json")
+    assert (tmp / "t.csv").read_bytes() == (tmp / "ref.csv").read_bytes()
+    assert (tmp / "t.json").read_bytes() == (tmp / "ref.json").read_bytes()
+
+
+SPECIAL_VALUES = [-0.0, 0.0, 5e-324, -5e-324, 1e308, -1e308,
+                  math.nan, math.inf, -math.inf]
+ROW_COUNTS = (st.sampled_from([0, 1, CHUNK_ROWS - 1, CHUNK_ROWS, CHUNK_ROWS + 1])
+              | st.integers(0, 40))
+
+
+@st.composite
+def direct_tables(draw):
+    """Tables built directly, bypassing build_table: random magnitudes over
+    the whole double range, with signed zeros, subnormals, NaN and +-inf."""
+    n = draw(ROW_COUNTS)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    shape = (5, 2 * n + 10)  # spare frequencies: up to 8 specials may be NaN or repeat
+    cols = rng.choice([-1.0, 1.0], shape) * 10.0 ** rng.uniform(-323, 308, shape)
+    for value in draw(st.lists(st.sampled_from(SPECIAL_VALUES) | st.floats(), max_size=8)):
+        cols[rng.integers(shape[0]), rng.integers(shape[1])] = value
+    xi = np.unique(cols[0][~np.isnan(cols[0])])  # strictly increasing, +-inf allowed
+    xi = xi[np.sort(rng.choice(len(xi), n, replace=False))]
+    c, b, a, lam = cols[1:, :n]
+    metadata = draw(st.dictionaries(
+        st.text(st.characters(blacklist_categories=("Cs",)), max_size=8),
+        st.text(st.characters(blacklist_categories=("Cs",)), max_size=8) | st.integers()
+        | st.floats(), max_size=4))
+    return DispersionTable(xi=xi, c=c, b=b, a=a, lam=lam, metadata=metadata)
+
+
+SPECIAL_TABLE = DispersionTable(
+    xi=np.array([-math.inf, -0.0, 5e-324, 1e308, math.inf]),
+    c=np.array([math.nan, 1.0, -5e-324, math.inf, 0.1]),
+    b=np.array([0.5, math.nan, -0.0, 1e-300, -math.inf]),
+    a=np.array([-math.inf, 0.25, math.nan, -1e308, 2.0]),
+    lam=np.array([-1.0, -0.5, math.inf, math.nan, -0.0]),
+    metadata={"label": "specials", "count": 5, "scale": math.nan})
+
+
+@settings(max_examples=30, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(direct_tables())
+@example(SPECIAL_TABLE)
+def test_table_writers_reproduce_the_reference_bytes(tmp_path, table):
+    _assert_writers_match_reference(table, tmp_path)
+
+
+@pytest.mark.parametrize("n", [0, 1, CHUNK_ROWS - 1, CHUNK_ROWS, CHUNK_ROWS + 1, 3000])
+def test_built_table_writers_reproduce_the_reference_bytes(tmp_path, n):
+    table = build_table(np.linspace(-1.7, 1.7, 2 * n)[::2],
+                        metadata={"label": "run", "count": 3, "scale": 0.1})
+    _assert_writers_match_reference(table, tmp_path)
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
