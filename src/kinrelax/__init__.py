@@ -16,18 +16,17 @@ from .quadrature import (SQRT_PI, VelocityGrid, adaptive_phi_integral, build_gri
 from .collision import (apply_collision, check_mass_conservation,
                         check_negative_semidefinite, check_self_adjoint,
                         collision_matrix, operator_norm_bound_check)
-from .dispersion import (BAND_EDGE, DispersionPoint, DispersionTable,
-                         UnsupportedFrequencyError, build_table, c_of_xi,
-                         dispersion_point, transfer_function, xi_of_c,
+from .dispersion import (BAND_EDGE, DispersionTable, UnsupportedFrequencyError,
+                         build_table, c_of_xi, transfer_function, xi_of_c,
                          xi_of_c_quadrature)
 from .direct import (ModeOperator, ModeTrajectory, default_rk4_dt, evolve_mode,
-                     relaxation_distance, rk4_stability_limit, step)
+                     rk4_stability_limit, step)
 from .gds import (DEFAULT_TRUNCATION, FieldSnapshot, KineticStateSpectral,
                   SpectralDensity, evolve_density, kernel_kv, lift_to_kinetic,
-                  make_band_limited_density, pide_residual, to_physical)
+                  make_band_limited_density, to_physical)
 from .diagnostics import (ResidualReport, Tolerances, compare_gds_direct,
-                          continuity_residual, fit_convergence_order,
-                          spectral_continuity_residual)
+                          continuity_residual, fit_convergence_order, pide_residual,
+                          relaxation_distance, spectral_continuity_residual)
 
 __all__ = [
     "__version__",
@@ -35,14 +34,14 @@ __all__ = [
     "gaussian_moment", "inner_product_phi", "integrate_phi", "moment", "norm_phi",
     "apply_collision", "check_mass_conservation", "check_negative_semidefinite",
     "check_self_adjoint", "collision_matrix", "operator_norm_bound_check",
-    "BAND_EDGE", "DispersionPoint", "DispersionTable", "UnsupportedFrequencyError",
-    "build_table", "c_of_xi", "dispersion_point", "transfer_function", "xi_of_c",
-    "xi_of_c_quadrature",
+    "BAND_EDGE", "DispersionTable", "UnsupportedFrequencyError", "build_table",
+    "c_of_xi", "transfer_function", "xi_of_c", "xi_of_c_quadrature",
     "ModeOperator", "ModeTrajectory", "default_rk4_dt", "evolve_mode",
-    "relaxation_distance", "rk4_stability_limit", "step",
+    "rk4_stability_limit", "step",
     "DEFAULT_TRUNCATION", "FieldSnapshot", "KineticStateSpectral", "SpectralDensity",
-    "evolve_density", "kernel_kv",
-    "lift_to_kinetic", "make_band_limited_density", "pide_residual", "to_physical",
+    "evolve_density", "kernel_kv", "lift_to_kinetic", "make_band_limited_density",
+    "to_physical",
     "ResidualReport", "Tolerances", "compare_gds_direct", "continuity_residual",
-    "fit_convergence_order", "spectral_continuity_residual",
+    "fit_convergence_order", "pide_residual", "relaxation_distance",
+    "spectral_continuity_residual",
 ]

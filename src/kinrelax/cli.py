@@ -6,7 +6,8 @@ fields.  Outputs are CSV (17 significant digits) plus JSON metadata, all
 stamped with the artifact version and a hash of the resolved
 configuration so runs are reproducible and diffable.
 
-Exit codes: 0 pass, 1 tolerance failure, 2 configuration error.
+Exit codes: 0 pass, 1 tolerance failure, 2 configuration error, 3 internal
+error (any other exception, reported on one line).
 """
 
 import argparse
@@ -152,14 +153,6 @@ class RunConfig:
             raise ConfigError("identity_band must lie in (0, sqrt(pi))")
         if self.dispersion_samples < 2 or self.identity_samples < 2:
             raise ConfigError("sample counts must be >= 2")
-
-    @property
-    def dxi(self) -> float:
-        return self.xi_max / self.modes
-
-    @property
-    def domain_length(self) -> float:
-        return 2.0 * math.pi / self.dxi
 
     @property
     def solver_method(self) -> str:
@@ -469,6 +462,9 @@ def main(argv=None) -> int:
         # validation raised after resolution (band, stability, grid shape, ...)
         print(f"config error: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:  # a fault of the program, not of its input or a check
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

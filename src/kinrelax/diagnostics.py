@@ -1,5 +1,9 @@
 """Cross-cutting residuals and comparison reports.
 
+Every check of the construction (``dispersion``, ``gds``) against the
+direct oracle (``direct``) lives here: no other library module imports
+both sides, so the oracle never sees the dispersion solve.
+
 Norm conventions: weighted L2 in velocity (the phi pairing), plain
 discrete L2 in x, max over frequency modes.  Tolerances live in one
 place (``Tolerances``) so pass/fail is reproducible.
@@ -9,10 +13,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dispersion import DispersionTable, transfer_function
-from .direct import BLOCK, distance_to_ray, propagate
-from .gds import FieldSnapshot, SpectralDensity
-from .quadrature import VelocityGrid
+from .dispersion import DispersionTable, build_table, transfer_function
+from .direct import BLOCK, ModeOperator, propagate
+from .gds import FieldSnapshot, KineticStateSpectral, SpectralDensity
+from .quadrature import VelocityGrid, as_grid_array, norm_phi
 
 
 @dataclass(frozen=True)
@@ -134,6 +138,44 @@ def spectral_continuity_residual(rho: SpectralDensity, table: DispersionTable,
     )
 
 
+def pide_residual(state: KineticStateSpectral, table: DispersionTable,
+                  mode: str = "analytic", dt_probe: float = 1e-4) -> float:
+    """Max over active modes of ||df/dt + (1 + i xi v) f_hat - rho_hat||_phi.
+
+    'analytic' takes df/dt = lam*f_hat, exact for the solution class, so
+    the residual is roundoff plus the quadrature drift of the recomputed
+    density.  'fd' replaces lam by a centered difference of the
+    exponential propagator at step dt_probe, adding an O(dt_probe^2)
+    term; the two modes separate algebra errors from discretization.
+    """
+    if mode not in ("analytic", "fd"):
+        raise ValueError(f"unknown residual mode {mode!r}; use 'analytic' or 'fd'")
+    if mode == "fd" and dt_probe <= 0:
+        raise ValueError("dt_probe must be positive")
+    idx = np.nonzero(np.any(state.f_hat, axis=1))[0]
+    xi = state.xi_grid[idx]
+    lam = table.lam[table.index_of(xi)][:, None]
+    f = state.f_hat[idx]
+    if mode == "fd":
+        lam = (np.exp(lam * dt_probe) - np.exp(-lam * dt_probe)) / (2.0 * dt_probe)
+    r = lam * f - ModeOperator(xi=xi, grid=state.grid).apply(f)
+    return float(np.max(norm_phi(r, state.grid), initial=0.0))
+
+
+def distance_to_ray(states, K, grid: VelocityGrid) -> np.ndarray:
+    """||f - rho K||_phi / ||f||_phi over the last axis, rho = <f, 1>_phi; 0 for
+    f = 0 (on the ray, rho = 0).  The ratio is scale-invariant, so each state is
+    first scaled exactly by a power of two near its largest |f_j|: no underflow.
+    """
+    w = grid.weights
+    e = np.frexp(np.max(np.abs(states), axis=-1, keepdims=True))[1]
+    states = states * np.ldexp(1.0, np.clip(-e, -1022, 1022))
+    norm = np.sqrt(np.abs(states) ** 2 @ w)
+    off = (states @ w)[..., None] * K
+    dist = np.sqrt(np.abs(np.subtract(states, off, out=off)) ** 2 @ w)
+    return np.divide(dist, norm, out=np.zeros_like(dist), where=norm > 0.0)
+
+
 def direct_unit_modes(rho0: SpectralDensity, table: DispersionTable,
                       grid: VelocityGrid, times, method: str = "exact-dense",
                       dt: float | None = None) -> tuple:
@@ -158,6 +200,26 @@ def direct_unit_modes(rho0: SpectralDensity, table: DispersionTable,
         dist[:, blk] = distance_to_ray(states, lift[blk], grid)
         del states  # free before the next block is integrated
     return np.where(rho0.xi_grid[idx] < 0, dens[:, row].conj(), dens[:, row]), dist[:, row]
+
+
+def relaxation_distance(f0, xi: float, grid: VelocityGrid, t_grid,
+                        method: str = "exact-dense") -> np.ndarray:
+    """Distance of the evolving state to the density-determined ray.
+
+    d(t) = ||f(t) - rho(t) K(xi)||_phi / ||f(t)||_phi with rho(t) the
+    state's own instantaneous density and K the transfer function.
+    Exploratory diagnostic only: it reports data, it asserts no
+    convergence statement.
+    """
+    f0 = as_grid_array(f0, grid)
+    if not np.any(f0):
+        raise ValueError("zero-norm state has no meaningful distance to the ray")
+    t_grid = np.asarray(t_grid, dtype=float)
+    if t_grid.ndim != 1 or len(t_grid) == 0 or np.any(np.diff(t_grid) <= 0) \
+            or t_grid[0] < 0:
+        raise ValueError("t_grid must be a strictly increasing 1D array from t >= 0")
+    states = propagate(f0[None], [xi], grid, t_grid, method=method)[:, 0]
+    return distance_to_ray(states, transfer_function(build_table([xi]), grid)[0], grid)
 
 
 def compare_gds_direct(rho0: SpectralDensity, times, table: DispersionTable,

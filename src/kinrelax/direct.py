@@ -13,9 +13,6 @@ grid symmetry, not by dispersion: the matrix exponential, by scaling and
 squaring (Higham, 2005; eigenvectors are "dubious" for a nonnormal R, Moler &
 Van Loan, 2003), and RK4 run in real arithmetic as the derivation-free oracle
 the rest of the package is validated against.
-``relaxation_distance`` is the one deliberate exception; it measures the
-distance of an evolving state to the density-determined ray, which
-requires the transfer function.
 """
 
 import math
@@ -24,7 +21,6 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import linalg
 
-from .dispersion import dispersion_point, transfer_function
 from .quadrature import VelocityGrid, as_grid_array, integrate_phi, moment, norm_phi
 
 
@@ -238,37 +234,3 @@ def evolve_mode(f0, xi: float, grid: VelocityGrid, t_final: float, dt: float,
                        method=method, dt=dt)[:, 0]
     return ModeTrajectory(xi=xi, times=times, states=states,
                           densities=states @ grid.weights)
-
-
-def distance_to_ray(states, K, grid: VelocityGrid) -> np.ndarray:
-    """||f - rho K||_phi / ||f||_phi over the last axis, rho = <f, 1>_phi; 0 for
-    f = 0 (on the ray, rho = 0).  The ratio is scale-invariant, so each state is
-    first scaled exactly by a power of two near its largest |f_j|: no underflow.
-    """
-    w = grid.weights
-    e = np.frexp(np.max(np.abs(states), axis=-1, keepdims=True))[1]
-    states = states * np.ldexp(1.0, np.clip(-e, -1022, 1022))
-    norm = np.sqrt(np.abs(states) ** 2 @ w)
-    off = (states @ w)[..., None] * K
-    dist = np.sqrt(np.abs(np.subtract(states, off, out=off)) ** 2 @ w)
-    return np.divide(dist, norm, out=np.zeros_like(dist), where=norm > 0.0)
-
-
-def relaxation_distance(f0, xi: float, grid: VelocityGrid, t_grid,
-                        method: str = "exact-dense") -> np.ndarray:
-    """Distance of the evolving state to the density-determined ray.
-
-    d(t) = ||f(t) - rho(t) K(xi)||_phi / ||f(t)||_phi with rho(t) the
-    state's own instantaneous density and K the transfer function.
-    Exploratory diagnostic only: it reports data, it asserts no
-    convergence statement.
-    """
-    f0 = as_grid_array(f0, grid)
-    if not np.any(f0):
-        raise ValueError("zero-norm state has no meaningful distance to the ray")
-    t_grid = np.asarray(t_grid, dtype=float)
-    if t_grid.ndim != 1 or len(t_grid) == 0 or np.any(np.diff(t_grid) <= 0) \
-            or t_grid[0] < 0:
-        raise ValueError("t_grid must be a strictly increasing 1D array from t >= 0")
-    states = propagate(f0[None], [xi], grid, t_grid, method=method)[:, 0]
-    return distance_to_ray(states, transfer_function(dispersion_point(xi), grid), grid)

@@ -143,48 +143,12 @@ def c_of_xi(xi, *, xi_min: float = DEFAULT_XI_MIN,
     return c if c.ndim else float(c)
 
 
-@dataclass(frozen=True)
-class DispersionPoint:
-    """One admissible frequency with its decay data.
-
-    xi:  frequency in (-sqrt(pi), 0) or (0, sqrt(pi))
-    c:   inverse-dispersion parameter, same sign as xi
-    b:   xi*c, always in (0, 1)
-    a:   (b - 1)/xi, the imaginary part of the flux coefficient
-    lam: b - 1 in (-1, 0); the mode density decays like exp(lam*t)
-    """
-
-    xi: float
-    c: float
-    b: float
-    a: float
-    lam: float
-
-    def __post_init__(self):
-        if not 0.0 < self.b < 1.0:
-            raise ValueError(f"b = xi*c must lie in (0, 1), got {self.b!r}")
-        if math.copysign(1.0, self.c) != math.copysign(1.0, self.xi):
-            raise ValueError("c must carry the sign of xi")
-
-    @property
-    def k(self) -> complex:
-        """Flux coefficient a*i: the mode flux is k(xi) * rho_hat(xi)."""
-        return complex(0.0, self.a)
-
-
-def dispersion_point(xi: float, **kwargs) -> DispersionPoint:
-    """Solve the dispersion relation at xi: one row of ``build_table``."""
-    table = build_table([xi], **kwargs)
-    return DispersionPoint(**{name: float(getattr(table, name)[0])
-                              for name in ("xi", "c", "b", "a", "lam")})
-
-
-def transfer_function(data, grid) -> np.ndarray:
+def transfer_function(table, grid) -> np.ndarray:
     """Eigenvector 1/(b + i xi v); lifts density to the kinetic state.
 
-    Broadcasts over ``data`` with ``b`` and ``xi`` (a DispersionPoint, or a
-    DispersionTable for one row per frequency) and the velocities of
-    ``grid`` (a VelocityGrid or values v): shape ``b.shape + v.shape``.
+    Broadcasts over the rows of ``table`` (a DispersionTable; one row,
+    ``build_table([xi])``, for a single frequency) and the velocities of
+    ``grid`` (a VelocityGrid or values v): shape ``(len(table),) + v.shape``.
     The denominator never vanishes (b > 0, v real).  Its defining
     identities, integral against phi equal to one and first moment equal
     to a*i, hold at the grid level only as accurately as the quadrature
@@ -193,7 +157,7 @@ def transfer_function(data, grid) -> np.ndarray:
     """
     v = np.asarray(getattr(grid, "nodes", grid))
     lead = (...,) + (None,) * v.ndim
-    return 1.0 / (np.asarray(data.b)[lead] + 1j * np.asarray(data.xi)[lead] * v)
+    return 1.0 / (table.b[lead] + 1j * table.xi[lead] * v)
 
 
 @dataclass(frozen=True)
@@ -238,15 +202,21 @@ class DispersionTable:
         return j if j.ndim else int(j)
 
     def to_csv(self, path) -> None:
-        """Write (xi, c, b, lambda) rows at 17 significant digits."""
+        """Write (xi, c, b, lambda) rows at 17 significant digits after one
+        ``# key=value`` line per metadata item, which must hold no line break."""
+        meta = {key: f"# {key}={self.metadata[key]}" for key in sorted(self.metadata)}
+        broken = [key for key, line in meta.items() if "\n" in line or "\r" in line]
+        if broken:
+            raise ValueError(f"metadata item {broken[0]!r} holds a line break; "
+                             "its '# key=value' line would not read back")
         head = [f"# kinrelax dispersion table format v{TABLE_FORMAT_VERSION}",
-                *(f"# {key}={self.metadata[key]}" for key in sorted(self.metadata)),
-                "xi,c,b,lambda"]
+                *meta.values(), "xi,c,b,lambda"]
         with open(path, "w") as fh:
             write_rows(fh, head, np.column_stack([self.xi, self.c, self.b, self.lam]))
 
     @classmethod
     def from_csv(cls, path) -> "DispersionTable":
+        """Read a table ``to_csv`` wrote; metadata values read back as strings."""
         metadata = {}
         rows = []
         with open(path) as fh:

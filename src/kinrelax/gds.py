@@ -25,8 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dispersion import SQRT_PI, DispersionTable, transfer_function
-from .direct import ModeOperator
-from .quadrature import VelocityGrid, norm_phi
+from .quadrature import VelocityGrid
 
 DEFAULT_TRUNCATION = 0.95 * SQRT_PI
 
@@ -312,27 +311,3 @@ def kernel_kv(v: float, y_grid, table: DispersionTable) -> np.ndarray:
     k_hat = transfer_function(table, v)
     kernel = (dxi / (2.0 * math.pi)) * (np.exp(1j * np.outer(y, xi)) @ k_hat)
     return _real_checked(kernel, "convolution kernel")
-
-
-def pide_residual(state: KineticStateSpectral, table: DispersionTable,
-                  mode: str = "analytic", dt_probe: float = 1e-4) -> float:
-    """Max over active modes of ||df/dt + (1 + i xi v) f_hat - rho_hat||_phi.
-
-    'analytic' takes df/dt = lam*f_hat, exact for the solution class, so
-    the residual is roundoff plus the quadrature drift of the recomputed
-    density.  'fd' replaces lam by a centered difference of the
-    exponential propagator at step dt_probe, adding an O(dt_probe^2)
-    term; the two modes separate algebra errors from discretization.
-    """
-    if mode not in ("analytic", "fd"):
-        raise ValueError(f"unknown residual mode {mode!r}; use 'analytic' or 'fd'")
-    if mode == "fd" and dt_probe <= 0:
-        raise ValueError("dt_probe must be positive")
-    idx = np.nonzero(np.any(state.f_hat, axis=1))[0]
-    xi = state.xi_grid[idx]
-    lam = table.lam[table.index_of(xi)][:, None]
-    f = state.f_hat[idx]
-    if mode == "fd":
-        lam = (np.exp(lam * dt_probe) - np.exp(-lam * dt_probe)) / (2.0 * dt_probe)
-    r = lam * f - ModeOperator(xi=xi, grid=state.grid).apply(f)
-    return float(np.max(norm_phi(r, state.grid), initial=0.0))

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from kinrelax import __version__
+from kinrelax import __version__, cli
 from kinrelax.cli import (DEFAULT_CONFIG, REFERENCE_CURVE_XI, ConfigError, RunConfig,
                           _property_rows, main, write_csv)
 from kinrelax.collision import (apply_collision, check_mass_conservation,
@@ -41,7 +41,6 @@ def test_config_defaults_validate():
     cfg = RunConfig.from_dict({})
     assert cfg.n_velocity == 64
     assert cfg.method == "exact"
-    assert abs(cfg.domain_length - 2 * np.pi / cfg.dxi) < 1e-12
 
 
 @pytest.mark.parametrize("bad", [
@@ -318,6 +317,20 @@ def test_out_that_cannot_be_written_is_a_config_error(tmp_path, capsys):
         err = capsys.readouterr().err
         assert err.startswith(f"config error: cannot write output to {named}: "), err
         assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("exc", [KeyError("xi=0.3"), ArithmeticError("no root"),
+                                 RuntimeError("boom")])
+def test_unexpected_exception_is_an_internal_error(tmp_path, capsys, monkeypatch, exc):
+    # used to end in a traceback with exit 1, the tolerance-failure code
+    def broken(config, out):
+        raise exc
+
+    monkeypatch.setitem(cli.COMMANDS, "compare", broken)
+    assert run(["compare", "--out", tmp_path]) == 3
+    err = capsys.readouterr().err
+    assert err == f"internal error: {type(exc).__name__}: {exc}\n"
+    assert "Traceback" not in err
 
 
 def test_runtime_validation_maps_to_exit_2(tmp_path):

@@ -5,16 +5,22 @@ import numpy as np
 import pytest
 from scipy import linalg
 
-from kinrelax.direct import (ModeOperator, _power, default_rk4_dt, distance_to_ray,
-                             evolve_mode, from_parity, propagate, relaxation_distance,
-                             rk4_stability_limit, step, to_parity)
-from kinrelax.dispersion import dispersion_point, transfer_function
+from kinrelax.diagnostics import distance_to_ray, relaxation_distance
+from kinrelax.direct import (ModeOperator, _power, default_rk4_dt, evolve_mode,
+                             from_parity, propagate, rk4_stability_limit, step,
+                             to_parity)
+from kinrelax.dispersion import build_table, transfer_function
 from kinrelax.quadrature import build_grid, inner_product_phi, norm_phi
 
 
 @pytest.fixture(scope="module")
 def grid():
     return build_grid(64)
+
+
+def transfer(xi, grid):
+    """The transfer function K of one frequency, from a one-row table."""
+    return transfer_function(build_table([xi]), grid)[0]
 
 
 def test_apply_matches_dense(grid):
@@ -48,10 +54,9 @@ def test_mode_operator_moves_mass_only_by_flux(grid):
 
 def test_gds_initial_data_decays_as_predicted(grid):
     xi = 0.5
-    p = dispersion_point(xi)
-    K = transfer_function(p, grid)
+    K = transfer(xi, grid)
     f1 = step(K, xi, grid, 1.0, method="exact-dense")
-    assert np.max(np.abs(f1 - np.exp(p.lam) * K)) < 1e-8
+    assert np.max(np.abs(f1 - np.exp(build_table([xi]).lam[0]) * K)) < 1e-8
 
 
 def test_rk4_stability_enforced(grid):
@@ -101,7 +106,7 @@ def test_evolve_mode_rejects_misaligned_final_time(grid):
 def test_mass_flux_identity_along_trajectory(grid):
     # smooth (slow-mode) data so the central time difference resolves d(rho)/dt
     xi = 0.6
-    K = transfer_function(dispersion_point(xi), grid)
+    K = transfer(xi, grid)
     traj = evolve_mode(K, xi, grid, t_final=0.2, dt=0.002)
     v = grid.nodes
     ones = np.ones(64)
@@ -124,23 +129,23 @@ def test_flat_initial_data_is_not_a_pure_exponential(grid):
 
 
 def test_hydrodynamic_eigenpair_matches_dispersion(grid):
-    for xi in (0.3, 0.6, 0.75):
-        p = dispersion_point(xi)
+    table = build_table([0.3, 0.6, 0.75])
+    for xi, lam in zip(table.xi, table.lam):
         mu, u = ModeOperator(xi=xi, grid=grid).hydrodynamic_eigenpair()
-        assert abs(mu - p.lam) < 1e-8
+        assert abs(mu - lam) < 1e-8
         assert abs(inner_product_phi(u, np.ones(64), grid) - 1.0) < 1e-12
 
 
 def test_relaxation_distance_zero_on_the_ray(grid):
     xi = 0.5
-    K = transfer_function(dispersion_point(xi), grid)
+    K = transfer(xi, grid)
     d = relaxation_distance(K, xi, grid, [0.0, 1.0, 5.0])
     assert np.max(d) < 1e-9
 
 
 def test_relaxation_distance_decreases_for_perturbed_data(grid):
     xi = 1.0
-    K = transfer_function(dispersion_point(xi), grid)
+    K = transfer(xi, grid)
     u = grid.nodes / norm_phi(grid.nodes, grid)
     f0 = K + 0.1 * u
     t_grid = np.arange(0.0, 10.5, 1.0)
@@ -243,7 +248,7 @@ def test_hydrodynamic_eigenpair_stack_matches_rows(grid):
 
 
 def test_distance_to_ray_is_scale_free_and_zero_at_zero(grid):
-    K = transfer_function(dispersion_point(0.5), grid)
+    K = transfer(0.5, grid)
     f = K + 0.1 * np.random.default_rng(2).standard_normal(64)
     # |f|^2 of the second and third rows underflows to 0 without rescaling
     d = distance_to_ray(np.array([f, f * 2.0**-600, 1e-300 * f, np.zeros(64)]), K, grid)

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 import warnings
 
 import numpy as np
@@ -9,9 +10,8 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from kinrelax.dispersion import (CHUNK_ROWS, TABLE_FORMAT_VERSION, XI_RESIDUAL_TOL,
-                                 DispersionPoint, DispersionTable,
-                                 UnsupportedFrequencyError, build_table, c_of_xi,
-                                 dispersion_point, transfer_function, xi_of_c,
+                                 DispersionTable, UnsupportedFrequencyError,
+                                 build_table, c_of_xi, transfer_function, xi_of_c,
                                  xi_of_c_quadrature)
 from kinrelax.quadrature import SQRT_PI, build_grid
 
@@ -163,27 +163,16 @@ def test_monotone_decreasing_inverse():
     assert np.all(np.diff(cs) < 0)
 
 
-def test_dispersion_point_fields():
-    p = dispersion_point(0.6)
-    assert 0.0 < p.b < 1.0
-    assert math.copysign(1.0, p.c) == 1.0
-    assert p.lam == p.b - 1.0
-    assert -1.0 < p.lam < 0.0
-    assert abs(p.a * p.xi - p.lam) < 1e-15
-    assert p.k == complex(0.0, p.a)
+def test_table_row_fields():
+    t = build_table([-0.6, 0.6])
+    assert np.all((0.0 < t.b) & (t.b < 1.0))
+    assert np.array_equal(np.sign(t.c), np.sign(t.xi))
+    assert np.array_equal(t.lam, t.b - 1.0)
+    assert np.all((-1.0 < t.lam) & (t.lam < 0.0))
+    assert np.max(np.abs(t.a * t.xi - t.lam)) < 1e-15
     # negative side mirrors evenly
-    q = dispersion_point(-0.6)
-    assert q.lam == p.lam
-    assert q.b == p.b
-    assert q.c == -p.c
-    assert q.a == -p.a
-
-
-def test_point_validation():
-    with pytest.raises(ValueError):
-        DispersionPoint(xi=0.5, c=3.0, b=1.5, a=1.0, lam=0.5)
-    with pytest.raises(ValueError):
-        DispersionPoint(xi=0.5, c=-1.0, b=0.5, a=-1.0, lam=-0.5)
+    assert t.lam[0] == t.lam[1] and t.b[0] == t.b[1]
+    assert t.c[0] == -t.c[1] and t.a[0] == -t.a[1]
 
 
 def test_hydrodynamic_limit():
@@ -192,41 +181,37 @@ def test_hydrodynamic_limit():
     for c in (10.0, 50.0):
         series = 1.0 / c - 1.0 / (2.0 * c**3) + 3.0 / (4.0 * c**5)
         assert abs(series - xi_of_c_quadrature(c)) < 1e-5 * abs(series)
-    for xi in (0.01, 0.02, 0.05):
-        p = dispersion_point(xi)
-        assert abs(p.lam / xi**2 + 0.5) < 2e-3
+    table = build_table([0.01, 0.02, 0.05])
+    assert np.max(np.abs(table.lam / table.xi**2 + 0.5)) < 2e-3
 
 
 def test_decay_rate_saturates_at_band_edge():
-    p = dispersion_point(SQRT_PI - 1e-4)
-    assert p.lam < -0.98
+    assert build_table([SQRT_PI - 1e-4]).lam[0] < -0.98
 
 
 def test_transfer_function_identities():
     grid = build_grid(64)
-    for xi in (0.1, 0.4, 0.75, -0.5):
-        p = dispersion_point(xi)
-        K = transfer_function(p, grid)
-        assert abs(np.sum(grid.weights * K) - 1.0) < 1e-8
-        flux = np.sum(grid.weights * grid.nodes * K)
-        assert abs(flux - 1j * p.a) < 1e-8
+    table = build_table([0.1, 0.4, 0.75, -0.5])
+    K = transfer_function(table, grid)
+    assert np.max(np.abs(K @ grid.weights - 1.0)) < 1e-8
+    flux = K @ (grid.weights * grid.nodes)
+    assert np.max(np.abs(flux - 1j * table.a)) < 1e-8
 
 
 def test_transfer_function_uniform_limit_small_xi():
     # K -> 1 pointwise; the bound |xi| * vmax < 0.05 needs a compact node set
     grid = build_grid(16)
-    p = dispersion_point(0.01)
-    K = transfer_function(p, grid)
+    K = transfer_function(build_table([0.01]), grid)
     assert np.max(np.abs(K - 1.0)) < 0.05
 
 
 def test_eigenvector_identity_is_algebraic():
     # -(1 + i xi v) K + 1 = lam * K exactly, independent of quadrature
     grid = build_grid(64)
-    p = dispersion_point(0.8)
-    K = transfer_function(p, grid)
-    lhs = -(1.0 + 1j * p.xi * grid.nodes) * K + 1.0
-    assert np.max(np.abs(lhs - p.lam * K)) < 1e-14
+    p = build_table([0.8])
+    K = transfer_function(p, grid)[0]
+    lhs = -(1.0 + 1j * p.xi[0] * grid.nodes) * K + 1.0
+    assert np.max(np.abs(lhs - p.lam[0] * K)) < 1e-14
 
 
 def test_build_table_and_lookup():
@@ -261,16 +246,14 @@ def test_table_transfer_rows_match_points_bitwise():
     assert K.shape == (len(table), grid.order)
     for xi in table.xi:
         row = K[table.index_of(xi)]
-        assert np.array_equal(row, transfer_function(dispersion_point(xi), grid))
+        assert np.array_equal(row, transfer_function(build_table([xi]), grid)[0])
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_table_rejects_frequencies_where_b_rounds_to_one():
-    # as dispersion_point does: at xi = 1e-8, b = xi*c rounds to 1.0 and lam to 0
+    # at xi = 1e-8, b = xi*c rounds to 1.0 and lam to 0
     with pytest.raises(ValueError, match="b = xi"):
         build_table([1e-8, 0.5])
-    with pytest.raises(ValueError, match="b = xi"):
-        dispersion_point(1e-8)
 
 
 def test_table_decay_rate_limits():
@@ -296,6 +279,22 @@ def test_table_json_has_metadata(tmp_path):
     assert doc["format_version"] == 1
     assert "xi_residual_tol" in doc["metadata"]
     assert len(doc["points"]) == 2
+
+
+@pytest.mark.parametrize("key, value", [("note", "two\nlines"), ("note", "cr\rhere"),
+                                        ("bad\nkey", "v"), ("bad\rkey", 1)])
+def test_table_csv_rejects_metadata_with_a_line_break(tmp_path, key, value):
+    # "two\nlines" used to write a "lines" row that from_csv could not parse
+    table = build_table([0.5], metadata={key: value})
+    path = tmp_path / "table.csv"
+    with pytest.raises(ValueError, match=re.escape(f"metadata item {key!r} holds")):
+        table.to_csv(path)
+    assert not path.exists()
+    table = build_table([0.5], metadata={"note": "one line", "count": 1})
+    table.to_csv(path)
+    back = DispersionTable.from_csv(path)
+    assert back.xi.tobytes() == table.xi.tobytes()
+    assert (back.metadata["note"], back.metadata["count"]) == ("one line", "1")
 
 
 @pytest.mark.parametrize("n", [0, 1, 2 * CHUNK_ROWS + 3])
@@ -337,12 +336,19 @@ def _reference_json(table, path):
 
 
 def _assert_writers_match_reference(table, tmp):
-    table.to_csv(tmp / "t.csv")
     table.to_json(tmp / "t.json")
-    _reference_csv(table, tmp / "ref.csv")
     _reference_json(table, tmp / "ref.json")
-    assert (tmp / "t.csv").read_bytes() == (tmp / "ref.csv").read_bytes()
     assert (tmp / "t.json").read_bytes() == (tmp / "ref.json").read_bytes()
+    (tmp / "t.csv").unlink(missing_ok=True)
+    if any(ch in f"{key}={value}" for key, value in table.metadata.items() for ch in "\r\n"):
+        # a "# key=value" line with a line break would not read back
+        with pytest.raises(ValueError, match="line break"):
+            table.to_csv(tmp / "t.csv")
+        assert not (tmp / "t.csv").exists()
+        return
+    table.to_csv(tmp / "t.csv")
+    _reference_csv(table, tmp / "ref.csv")
+    assert (tmp / "t.csv").read_bytes() == (tmp / "ref.csv").read_bytes()
 
 
 SPECIAL_VALUES = [-0.0, 0.0, 5e-324, -5e-324, 1e308, -1e308,
@@ -384,6 +390,7 @@ SPECIAL_TABLE = DispersionTable(
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(direct_tables())
 @example(SPECIAL_TABLE)
+@example(build_table([0.5], metadata={"note": "two\nlines"}))
 def test_table_writers_reproduce_the_reference_bytes(tmp_path, table):
     _assert_writers_match_reference(table, tmp_path)
 
@@ -404,19 +411,11 @@ def test_frequencies_whose_rate_is_rounding_noise_are_rejected(xi):
         with pytest.raises(UnsupportedFrequencyError, match="b = xi"):
             build_table([sign * xi, 0.5])
         with pytest.raises(UnsupportedFrequencyError, match="b = xi"):
-            dispersion_point(sign * xi)
+            build_table([sign * xi])
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_smallest_usable_frequency_has_the_hydrodynamic_rate():
     xi = 1e-7
-    for lam in (build_table([xi]).lam[0], dispersion_point(xi).lam):
-        assert lam == pytest.approx(-0.5 * xi * xi, rel=0.05)
+    assert build_table([xi]).lam[0] == pytest.approx(-0.5 * xi * xi, rel=0.05)
 
-
-def test_dispersion_point_is_one_table_row():
-    table = build_table([-1.2, 0.3, 1.7])
-    for j, xi in enumerate(table.xi):
-        p = dispersion_point(xi)
-        assert (p.xi, p.c, p.b, p.a, p.lam) == (table.xi[j], table.c[j], table.b[j],
-                                                table.a[j], table.lam[j])

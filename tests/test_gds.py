@@ -3,10 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from kinrelax.dispersion import build_table, dispersion_point, transfer_function
+from kinrelax.diagnostics import pide_residual
+from kinrelax.dispersion import build_table, transfer_function
 from kinrelax.gds import (KineticStateSpectral, SpectralDensity,
                           evolve_density, kernel_kv, lift_to_kinetic,
-                          make_band_limited_density, pide_residual, to_physical)
+                          make_band_limited_density, to_physical)
 from kinrelax.quadrature import SQRT_PI, build_grid
 
 
@@ -266,9 +267,9 @@ def test_lift_rows_match_per_mode_transfer_functions(grid):
     rho0, table = small_setup(xi_max=0.75, modes=15)
     state = lift_to_kinetic(rho0, table, grid)
     for i in rho0.active_indices():
-        point = dispersion_point(rho0.xi_grid[i])
+        point = build_table([rho0.xi_grid[i]])
         assert np.array_equal(state.f_hat[i],
-                              transfer_function(point, grid) * rho0.rho_hat[i])
+                              transfer_function(point, grid)[0] * rho0.rho_hat[i])
     assert not np.any(np.delete(state.f_hat, rho0.active_indices(), axis=0))
 
 

@@ -1,0 +1,52 @@
+"""The package's import graph, pinned edge by edge.
+
+The direct oracle must not see the construction it checks: ``direct``
+imports only ``quadrature``, ``gds`` does not import ``direct``, and of the
+library modules only ``diagnostics`` and ``cli`` import both the
+construction (``dispersion``, ``gds``) and the oracle (``direct``).
+"""
+
+import ast
+from pathlib import Path
+
+import kinrelax
+
+SRC = Path(kinrelax.__file__).parent
+
+EDGES = {
+    "__init__": {"quadrature", "collision", "dispersion", "direct", "gds", "diagnostics"},
+    "quadrature": set(),
+    "collision": {"quadrature"},
+    "dispersion": {"quadrature"},
+    "direct": {"quadrature"},
+    "gds": {"dispersion", "quadrature"},
+    "diagnostics": {"dispersion", "direct", "gds", "quadrature"},
+    "cli": {"__init__", "collision", "diagnostics", "direct", "dispersion", "gds",
+            "quadrature"},
+}
+
+
+def package_imports(path: Path) -> set:
+    """Modules of the package that ``path`` imports, relatively or absolutely."""
+    edges = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            if not node.level:  # absolute: "from kinrelax.x import y" or another package
+                if module.split(".")[0] != "kinrelax":
+                    continue
+                module = module.partition(".")[2]
+            if module:
+                edges.add(module)
+            else:  # "from . import x": x is a module or a name of __init__
+                edges |= {a.name if (SRC / f"{a.name}.py").exists() else "__init__"
+                          for a in node.names}
+        elif isinstance(node, ast.Import):
+            edges |= {a.name.partition(".")[2] or "__init__" for a in node.names
+                      if a.name.split(".")[0] == "kinrelax"}
+    return edges
+
+
+def test_module_import_edges_are_pinned():
+    found = {path.stem: package_imports(path) for path in sorted(SRC.glob("*.py"))}
+    assert found == EDGES
