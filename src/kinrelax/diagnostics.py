@@ -39,10 +39,8 @@ class Tolerances:
 
     @classmethod
     def from_dict(cls, overrides: dict | None) -> "Tolerances":
-        if not overrides:
-            return cls()
-        known = {f for f in cls.__dataclass_fields__}
-        bad = set(overrides) - known
+        overrides = overrides or {}
+        bad = set(overrides) - set(cls.__dataclass_fields__)
         if bad:
             raise ValueError(f"unknown tolerance keys: {sorted(bad)}")
         return cls(**{k: float(v) for k, v in overrides.items()})
@@ -89,10 +87,8 @@ class ResidualReport:
 
 def spectral_derivative(values: np.ndarray, dx: float) -> np.ndarray:
     """Exact periodic d/dx of a real sample array via the FFT."""
-    n = len(values)
-    k = 2.0 * np.pi * np.fft.fftfreq(n, d=dx)
-    out = np.fft.ifft(1j * k * np.fft.fft(values))
-    return out.real
+    k = 2.0 * np.pi * np.fft.fftfreq(len(values), d=dx)
+    return np.fft.ifft(1j * k * np.fft.fft(values)).real
 
 
 def continuity_residual(before: FieldSnapshot, center: FieldSnapshot,

@@ -11,8 +11,8 @@ R = [[-I + 2 1 w_h^T, -xi V_h], [xi V_h, -I]] over the half grid v_h (a centre
 node v = 0 has e = 2 f(0), no q, and coefficient 1, not 2).  This is exact by
 grid symmetry, not by dispersion: the matrix exponential, by scaling and
 squaring (Higham, 2005; eigenvectors are "dubious" for a nonnormal R, Moler &
-Van Loan, 2003), and RK4 run in real arithmetic as the derivation-free oracle
-the rest of the package is validated against.
+Van Loan, 2003), RK4 and the hydrodynamic eigenpair (one real eig of R) run in
+real arithmetic as the derivation-free oracles the package is validated against.
 """
 
 import math
@@ -26,11 +26,10 @@ from .quadrature import VelocityGrid, as_grid_array, integrate_phi, moment, norm
 
 @dataclass(frozen=True)
 class ModeOperator:
-    """The generator A_xi, matrix-free with a dense export.
+    """The generator A_xi, matrix-free.
 
-    A float xi acts on states of shape (N,); an array of frequencies (modes,)
-    acts row by row on (modes, N) and exports a (modes, N, N) ``dense()``.
-    The diagonal -(1 + i xi v) is formed once, at construction.
+    A float xi acts on states of shape (N,), an array of frequencies (modes,)
+    row by row on (modes, N).  The diagonal -(1 + i xi v) is formed once.
     """
 
     xi: float | np.ndarray
@@ -45,9 +44,6 @@ class ModeOperator:
         f = as_grid_array(f, self.grid)
         return self.diag * f + (f @ self.grid.weights)[..., None]
 
-    def dense(self) -> np.ndarray:
-        return self.grid.weights + self.diag[..., None] * np.eye(self.grid.order)
-
     def mass_flux_residual(self, f):
         """|<A f, 1>_phi + i xi <v f, 1>_phi|: mass changes only by flux."""
         return np.abs(integrate_phi(self.apply(f), self.grid)
@@ -60,17 +56,21 @@ class ModeOperator:
         for an array xi.  Eigenvectors with a vanishing mass component are
         skipped, as is the spurious real eigenvalue just above -1 (a
         discretization artifact of the fast kinetic branch) since it is
-        always more damped than the slow mode.
+        always more damped than the slow mode.  One real eig of the parity
+        generator R, eigenvectors mapped back by ``from_parity``; of a conjugate
+        pair tied in real part (out of the grid-faithful band) the first, with
+        positive imaginary part as LAPACK lists it, is taken.
         """
-        mu, vecs = np.linalg.eig(self.dense())
-        vecs = np.swapaxes(vecs, -1, -2)  # one eigenvector per row
+        mu, vecs = np.linalg.eig(_parity_generator(self.xi, self.grid))
+        vecs = from_parity(np.swapaxes(vecs, -1, -2), self.grid)  # one per row
         mass = integrate_phi(vecs, self.grid)
         carries = np.abs(mass) > 1e-8 * norm_phi(vecs, self.grid)
         if not np.all(np.any(carries, axis=-1)):
             raise ArithmeticError("no eigenvector with a nonvanishing mass component")
         k = np.argmax(np.where(carries, mu.real, -np.inf), axis=-1)
         pick = (*np.indices(k.shape, sparse=True), k)
-        return mu[pick], vecs[pick] / mass[pick][..., None]
+        # eig returns a real mu when no eigenvalue of the stack is complex
+        return mu[pick].astype(complex), vecs[pick] / mass[pick][..., None]
 
 
 def rk4_stability_limit(xi, grid: VelocityGrid):
@@ -148,13 +148,19 @@ def from_parity(y, grid: VelocityGrid) -> np.ndarray:
     return (np.where(up, y, mirror) - 1j * np.sign(grid.nodes) * np.where(up, mirror, y)) / 2
 
 
+def _parity_generator(xi, grid: VelocityGrid) -> np.ndarray:
+    """A_xi in parity coordinates, R = 1_e (w (1 + sign v))^T - I - xi diag(v) J
+    (J the mirror): real, (N, N) for a float xi and (modes, N, N) for an array."""
+    v, eye = grid.nodes, np.eye(grid.order)
+    return (np.outer(v >= 0.0, grid.weights * (1.0 + np.sign(v))) - eye
+            - np.multiply.outer(xi, v[:, None] * eye[::-1]))
+
+
 def _march(f, xi, grid: VelocityGrid, method: str, stops, dt, out) -> None:
     """Advance one block from t=0 through the sorted stops into out[k], in parity
-    coordinates, where A_xi is R = 1_e (w (1 + sign v))^T - I - xi diag(v) J (J the
-    mirror): n steps h are one matvec by P(h)^n, P made once per h, the last power reused."""
-    v, eye, y = grid.nodes, np.eye(grid.order), to_parity(f, grid)
-    R = (np.outer(v >= 0.0, grid.weights * (1.0 + np.sign(v))) - eye
-         - np.multiply.outer(xi, v[:, None] * eye[::-1]))
+    coordinates, where A_xi is ``_parity_generator``: n steps h are one matvec by
+    P(h)^n, P made once per h, the last power reused."""
+    eye, y, R = np.eye(grid.order), to_parity(f, grid), _parity_generator(xi, grid)
     if dt is None:  # log2(||R||_1 / THETA13) of the block, so s never overflows
         scale = math.log2(float(np.max(np.abs(R).sum(axis=-2))) / THETA13)
     prop_h = power_hn = None

@@ -203,14 +203,17 @@ class DispersionTable:
 
     def to_csv(self, path) -> None:
         """Write (xi, c, b, lambda) rows at 17 significant digits after one
-        ``# key=value`` line per metadata item, which must hold no line break."""
-        meta = {key: f"# {key}={self.metadata[key]}" for key in sorted(self.metadata)}
-        broken = [key for key, line in meta.items() if "\n" in line or "\r" in line]
-        if broken:
-            raise ValueError(f"metadata item {broken[0]!r} holds a line break; "
-                             "its '# key=value' line would not read back")
-        head = [f"# kinrelax dispersion table format v{TABLE_FORMAT_VERSION}",
-                *meta.values(), "xi,c,b,lambda"]
+        ``# key=value`` line per metadata item, which must read back: no line
+        break, no '=' in the key, no whitespace at either end of key or value."""
+        head = [f"# kinrelax dispersion table format v{TABLE_FORMAT_VERSION}"]
+        for key in sorted(self.metadata):
+            k, v = f"{key}", f"{self.metadata[key]}"
+            if "\n" in k + v or "\r" in k + v or "=" in k or k != k.strip() or v != v.strip():
+                raise ValueError(f"metadata item {key!r} holds a line break, '=' in its key "
+                                 "or whitespace at an end; its '# key=value' line would "
+                                 "not read back")
+            head.append(f"# {k}={v}")
+        head.append("xi,c,b,lambda")
         with open(path, "w") as fh:
             write_rows(fh, head, np.column_stack([self.xi, self.c, self.b, self.lam]))
 

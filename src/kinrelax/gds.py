@@ -251,8 +251,7 @@ def to_physical(state, x_points: int, table: DispersionTable | None = None,
     Nyquist index.
     """
     if isinstance(state, SpectralDensity):
-        xi_grid = state.xi_grid
-        rho_hat = state.rho_hat
+        xi_grid, rho_hat = state.xi_grid, state.rho_hat
         if table is None:
             raise ValueError("a dispersion table is required to form the flux "
                              "from a bare SpectralDensity")
@@ -263,16 +262,13 @@ def to_physical(state, x_points: int, table: DispersionTable | None = None,
         if include_f:
             raise ValueError("include_f requires a KineticStateSpectral input")
     elif isinstance(state, KineticStateSpectral):
-        xi_grid = state.xi_grid
-        rho_hat = state.density()
-        flux_hat = state.flux()
+        xi_grid, rho_hat, flux_hat = state.xi_grid, state.density(), state.flux()
         f_hat = state.f_hat if include_f else None
     else:
         raise TypeError(f"unsupported state type {type(state).__name__}")
 
     modes = (len(xi_grid) - 1) // 2
-    dxi = float(xi_grid[1] - xi_grid[0])
-    L = 2.0 * math.pi / dxi
+    L = 2.0 * math.pi / float(xi_grid[1] - xi_grid[0])
     if x_points < 2 * (modes + 1):
         raise ValueError(f"x_points={x_points} must be >= 2*(modes+1)={2 * (modes + 1)}")
     if x_points & (x_points - 1):
@@ -280,9 +276,8 @@ def to_physical(state, x_points: int, table: DispersionTable | None = None,
 
     rho = _real_checked(_synthesize(rho_hat, modes, x_points, L), "density field")
     flux = _real_checked(_synthesize(flux_hat, modes, x_points, L), "flux field")
-    f = None
-    if f_hat is not None:
-        f = _real_checked(_synthesize(f_hat, modes, x_points, L), "molecular density field")
+    f = None if f_hat is None else _real_checked(_synthesize(f_hat, modes, x_points, L),
+                                                 "molecular density field")
 
     x_grid = np.arange(x_points) * (L / x_points)
     return FieldSnapshot(x_grid=x_grid, rho=rho, flux=flux,

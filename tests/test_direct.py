@@ -18,6 +18,11 @@ def grid():
     return build_grid(64)
 
 
+def nodal_generator(op):
+    """The nodal generator of a ModeOperator, (N, N) or (modes, N, N)."""
+    return op.grid.weights + op.diag[..., None] * np.eye(op.grid.order)
+
+
 def transfer(xi, grid):
     """The transfer function K of one frequency, from a one-row table."""
     return transfer_function(build_table([xi]), grid)[0]
@@ -27,7 +32,7 @@ def test_apply_matches_dense(grid):
     rng = np.random.default_rng(1)
     f = rng.standard_normal(64) + 1j * rng.standard_normal(64)
     op = ModeOperator(xi=0.7, grid=grid)
-    assert np.max(np.abs(op.dense() @ f - op.apply(f))) < 1e-12
+    assert np.max(np.abs(nodal_generator(op) @ f - op.apply(f))) < 1e-12
 
 
 def test_constant_is_stationary_at_zero_frequency(grid):
@@ -221,12 +226,12 @@ def test_mode_operator_stack_matches_per_row_operators(grid):
     xi = np.linspace(-1.7, 1.7, 40)
     f = rng.standard_normal((40, 64)) + 1j * rng.standard_normal((40, 64))
     op = ModeOperator(xi=xi, grid=grid)
-    dense, applied = op.dense(), op.apply(f)
+    dense, applied = nodal_generator(op), op.apply(f)
     assert dense.shape == (40, 64, 64) and applied.shape == (40, 64)
     w, v = grid.weights, grid.nodes
     for x, d, g, a in zip(xi, dense, f, applied):
         row = ModeOperator(xi=x, grid=grid)
-        assert np.array_equal(d, row.dense())
+        assert np.array_equal(d, nodal_generator(row))
         assert np.array_equal(d, np.outer(np.ones(64), w) - np.diag(1.0 + 1j * x * v))
         ref = row.apply(g)
         assert np.max(np.abs(a - ref)) <= 1e-14 * np.max(np.abs(ref))
@@ -245,6 +250,28 @@ def test_hydrodynamic_eigenpair_stack_matches_rows(grid):
         m_row, u_row = ModeOperator(xi=x, grid=grid).hydrodynamic_eigenpair()
         assert m == m_row
         assert np.max(np.abs(vec - u_row)) < 1e-12 * np.max(np.abs(u_row))
+
+
+@pytest.mark.parametrize("order", [2, 7, 64])
+def test_real_basis_eigenpair_matches_the_nodal_eigensolve(order):
+    # the reference the parity path replaced: a complex eig of the nodal
+    # generator, then the same mass-carrying, least-damped selection
+    grid = build_grid(order)
+    xi = np.array([0.0, 0.3, -0.5, 0.7])
+    op = ModeOperator(xi=xi, grid=grid)
+    mu_all, vecs = np.linalg.eig(nodal_generator(op))
+    vecs = np.swapaxes(vecs, -1, -2)
+    mass = vecs @ grid.weights
+    carries = np.abs(mass) > 1e-8 * norm_phi(vecs, grid)
+    k = np.argmax(np.where(carries, mu_all.real, -np.inf), axis=-1)
+    rows = np.arange(len(xi))
+    ref_mu, ref_u = mu_all[rows, k], vecs[rows, k] / mass[rows, k, None]
+    mu, u = op.hydrodynamic_eigenpair()
+    assert mu.dtype == complex and u.dtype == complex and u.shape == (4, order)
+    assert np.max(np.abs(mu - ref_mu)) < 1e-13
+    assert np.all(np.max(np.abs(u - ref_u), axis=-1) < 1e-12 * np.max(np.abs(ref_u), axis=-1))
+    if order == 64:  # the slow mode is real in the grid-faithful band
+        assert np.all(mu.imag[np.abs(xi) <= 0.75] == 0.0)
 
 
 def test_distance_to_ray_is_scale_free_and_zero_at_zero(grid):
@@ -282,7 +309,7 @@ def _stepped_reference(f, xi, grid, stops, method, dt):
     for span in np.diff(stops, prepend=0.0):
         n = max(1, math.ceil(span / dt - 1e-9)) if span > 0.0 else 0
         h = dt if abs(n * dt - span) <= 1e-9 * span else span / n
-        prop = linalg.expm(op.dense() * h) if method == "exact-dense" else None
+        prop = linalg.expm(nodal_generator(op) * h) if method == "exact-dense" else None
         for _ in range(n):
             f = _rk4_stage_step(op, f, h) if method == "rk4" else (prop @ f[..., None])[..., 0]
         out.append(f)
@@ -340,7 +367,7 @@ def test_parity_paths_match_the_nodal_generator(order, method, dt):
         ref = _stepped_reference(f0, xi, grid, stops, method,
                                  float(np.min(default_rk4_dt(xi, grid))))
     else:
-        A = ModeOperator(xi=xi, grid=grid).dense()
+        A = nodal_generator(ModeOperator(xi=xi, grid=grid))
         ref = np.array([(linalg.expm(t * A) @ f0[..., None])[..., 0] for t in stops])
     assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
 
@@ -367,7 +394,7 @@ def test_exact_path_matches_dense_eigendecomposition(order):
     xi = np.array([0.0, 0.4, -1.1, 1.7])
     f0 = rng.standard_normal((4, order)) + 1j * rng.standard_normal((4, order))
     times = np.array([3.0, 0.0, 2000.0, 1e-300, 0.5])
-    mu, vecs = np.linalg.eig(ModeOperator(xi=xi, grid=grid).dense())
+    mu, vecs = np.linalg.eig(nodal_generator(ModeOperator(xi=xi, grid=grid)))
     coeff = np.linalg.solve(vecs, f0[..., None])
     ref = np.array([(vecs @ (np.exp(mu * t)[..., None] * coeff))[..., 0] for t in times])
     got = propagate(f0, xi, grid, times, method="exact-dense")

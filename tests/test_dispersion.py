@@ -297,6 +297,21 @@ def test_table_csv_rejects_metadata_with_a_line_break(tmp_path, key, value):
     assert (back.metadata["note"], back.metadata["count"]) == ("one line", "1")
 
 
+@pytest.mark.parametrize("metadata, item", [
+    ({"a=b": "c", " pad ": " v "}, " pad "),  # read back as {"a": "b=c", "pad": "v"}
+    ({"a=b": "c"}, "a=b"), ({" pad": "v"}, " pad"), ({"pad ": "v"}, "pad "),
+    ({"pad": " v"}, "pad"), ({"pad": "v\t"}, "pad"), ({"ok": 1, "x": " 2"}, "x")])
+def test_table_csv_rejects_metadata_that_would_not_read_back(tmp_path, metadata, item):
+    path = tmp_path / "table.csv"
+    with pytest.raises(ValueError, match=re.escape(f"metadata item {item!r} ")):
+        build_table([0.5], metadata=metadata).to_csv(path)
+    assert not path.exists()
+    table = build_table([0.5], metadata={"a": "b=c", "pad": "v w", "#": "", "": 1.5})
+    table.to_csv(path)
+    assert DispersionTable.from_csv(path).metadata == {
+        key: f"{value}" for key, value in table.metadata.items()}
+
+
 @pytest.mark.parametrize("n", [0, 1, 2 * CHUNK_ROWS + 3])
 def test_table_csv_roundtrip_is_bitwise_at_any_length(tmp_path, n):
     # an empty table used to fail to read back (unpacking a 0-row array)
@@ -340,15 +355,19 @@ def _assert_writers_match_reference(table, tmp):
     _reference_json(table, tmp / "ref.json")
     assert (tmp / "t.json").read_bytes() == (tmp / "ref.json").read_bytes()
     (tmp / "t.csv").unlink(missing_ok=True)
-    if any(ch in f"{key}={value}" for key, value in table.metadata.items() for ch in "\r\n"):
-        # a "# key=value" line with a line break would not read back
-        with pytest.raises(ValueError, match="line break"):
+    meta = {f"{key}": f"{value}" for key, value in table.metadata.items()}
+    if any("\n" in k + v or "\r" in k + v or "=" in k or k != k.strip() or v != v.strip()
+           for k, v in meta.items()):
+        # a "# key=value" line with a line break, '=' in its key or whitespace
+        # at an end would not read back
+        with pytest.raises(ValueError, match="would not read back"):
             table.to_csv(tmp / "t.csv")
         assert not (tmp / "t.csv").exists()
         return
     table.to_csv(tmp / "t.csv")
     _reference_csv(table, tmp / "ref.csv")
     assert (tmp / "t.csv").read_bytes() == (tmp / "ref.csv").read_bytes()
+    assert DispersionTable.from_csv(tmp / "t.csv").metadata == meta
 
 
 SPECIAL_VALUES = [-0.0, 0.0, 5e-324, -5e-324, 1e308, -1e308,
