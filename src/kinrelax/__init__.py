@@ -20,13 +20,13 @@ from .dispersion import (BAND_EDGE, DispersionTable, UnsupportedFrequencyError,
                          build_table, c_of_xi, transfer_function, xi_of_c,
                          xi_of_c_quadrature)
 from .direct import (ModeOperator, ModeTrajectory, default_rk4_dt, evolve_mode,
-                     rk4_stability_limit, step)
+                     rk4_stability_limit)
 from .gds import (DEFAULT_TRUNCATION, FieldSnapshot, KineticStateSpectral,
-                  SpectralDensity, evolve_density, kernel_kv, lift_to_kinetic,
+                  SpectralDensity, evolve_density, lift_to_kinetic,
                   make_band_limited_density, to_physical)
 from .diagnostics import (ResidualReport, Tolerances, compare_gds_direct,
                           continuity_residual, fit_convergence_order, pide_residual,
-                          relaxation_distance, spectral_continuity_residual)
+                          spectral_continuity_residual)
 
 __all__ = [
     "__version__",
@@ -37,11 +37,9 @@ __all__ = [
     "BAND_EDGE", "DispersionTable", "UnsupportedFrequencyError", "build_table",
     "c_of_xi", "transfer_function", "xi_of_c", "xi_of_c_quadrature",
     "ModeOperator", "ModeTrajectory", "default_rk4_dt", "evolve_mode",
-    "rk4_stability_limit", "step",
+    "rk4_stability_limit",
     "DEFAULT_TRUNCATION", "FieldSnapshot", "KineticStateSpectral", "SpectralDensity",
-    "evolve_density", "kernel_kv", "lift_to_kinetic", "make_band_limited_density",
-    "to_physical",
+    "evolve_density", "lift_to_kinetic", "make_band_limited_density", "to_physical",
     "ResidualReport", "Tolerances", "compare_gds_direct", "continuity_residual",
-    "fit_convergence_order", "pide_residual", "relaxation_distance",
-    "spectral_continuity_residual",
+    "fit_convergence_order", "pide_residual", "spectral_continuity_residual",
 ]

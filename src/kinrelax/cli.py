@@ -15,7 +15,7 @@ import hashlib
 import json
 import math
 import sys
-from dataclasses import astuple, dataclass, field, fields
+from dataclasses import astuple
 from functools import cached_property
 from pathlib import Path
 
@@ -42,87 +42,76 @@ REFERENCE_CURVE_XI = (1.4198, 1.17853, 0.998537, 0.860816, 0.753057,
 # Keyword parameters of make_band_limited_density a config profile may set.
 PROFILE_PARAMS = ("amplitude", "sigma", "center", "xi0", "time")
 
-DEFAULT_CONFIG = {
-    "n_velocity": 64,
-    "xi_max": 0.9,
-    "modes": 128,
-    "x_points": 512,
-    "profile": {"name": "gaussian-bump", "sigma": 0.18, "center": 0.45,
-                "amplitude": 1.0},
-    "times": [0.5, 1.0, 2.0, 5.0],
-    "method": "exact",
-    "seed": 1234,
-    "out": "out",
-    "xi_min": 1e-6,
-    "edge_margin": 1e-6,
-    "dispersion_samples": 200,
-    "identity_band": 0.75,
-    "identity_samples": 200,
-    "dt": 0.01,
-    "t_final": 5.0,
-    "output_stride": 10,
-    "include_kinetic": False,
-    "inject_lambda_error": 0.0,
-    "fail_fast": False,
-    "tolerances": {},
-}
-
 
 class ConfigError(ValueError):
     """Invalid run configuration (maps to exit code 2)."""
 
 
-@dataclass
-class RunConfig:
-    """Validated run configuration; ``raw`` feeds the reproducibility hash."""
+def _profile(value) -> dict:
+    if not isinstance(value, dict):
+        raise TypeError("profile must be an object with a 'name' field")
+    return {k: v if k == "name" else float(v) for k, v in value.items()}
 
-    n_velocity: int
-    xi_max: float
-    modes: int
-    x_points: int
-    profile: dict
-    times: list
-    method: str
-    seed: int
-    out: str
-    xi_min: float
-    edge_margin: float
-    dispersion_samples: int
-    identity_band: float
-    identity_samples: int
-    dt: float
-    t_final: float
-    output_stride: int
-    include_kinetic: bool
-    inject_lambda_error: float
-    fail_fast: bool
-    tolerances: Tolerances
-    raw: dict = field(default_factory=dict)
+
+def _times(value) -> list:
+    if not isinstance(value, (list, tuple)):
+        raise TypeError("times must be a list of numbers")
+    return [float(t) for t in value]
+
+
+# Each config key once: its default, which is what the hash sees for an unset
+# key, and the coercion of its value.  A flag of the same name overrides it.
+SCHEMA = {
+    "n_velocity": (64, int),
+    "xi_max": (0.9, float),
+    "modes": (128, int),
+    "x_points": (512, int),
+    "profile": ({"name": "gaussian-bump", "sigma": 0.18, "center": 0.45,
+                 "amplitude": 1.0}, _profile),
+    "times": ([0.5, 1.0, 2.0, 5.0], _times),
+    "method": ("exact", str),
+    "seed": (1234, int),
+    "out": ("out", str),
+    "xi_min": (1e-6, float),
+    "edge_margin": (1e-6, float),
+    "dispersion_samples": (200, int),
+    "identity_band": (0.75, float),
+    "identity_samples": (200, int),
+    "dt": (0.01, float),
+    "t_final": (5.0, float),
+    "output_stride": (10, int),
+    "include_kinetic": (False, bool),
+    "inject_lambda_error": (0.0, float),
+    "fail_fast": (False, bool),
+    "tolerances": ({}, Tolerances.from_dict),
+}
+DEFAULT_CONFIG = {key: default for key, (default, _) in SCHEMA.items()}
+
+
+class RunConfig:
+    """Validated run configuration: one attribute per SCHEMA key, holding its
+    coerced value; ``raw``, the merged document as given, feeds the hash."""
+
+    def __init__(self, raw: dict):
+        self.raw = raw
+        for key, (_, coerce) in SCHEMA.items():
+            setattr(self, key, coerce(raw[key]))
 
     @classmethod
     def from_dict(cls, data: dict) -> "RunConfig":
         merged = {**DEFAULT_CONFIG, **data}
-        unknown = set(merged) - set(DEFAULT_CONFIG)
+        unknown = set(merged) - set(SCHEMA)
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-        if not isinstance(merged["profile"], dict):
-            raise ConfigError("profile must be an object with a 'name' field")
-        if not isinstance(merged["times"], (list, tuple)):
-            raise ConfigError("times must be a list of numbers")
         try:
-            cfg = cls(**{f.name: f.type(merged[f.name]) for f in fields(cls)
-                         if f.type in (int, float, str, bool)},
-                      profile={k: v if k == "name" else float(v)
-                               for k, v in merged["profile"].items()},
-                      times=[float(t) for t in merged["times"]],
-                      tolerances=Tolerances.from_dict(merged["tolerances"]), raw=merged)
+            cfg = cls(merged)
         except (TypeError, ValueError, OverflowError) as exc:  # int(inf) overflows
             raise ConfigError(f"invalid config value: {exc}") from exc
         cfg.validate()
         return cfg
 
     def validate(self) -> None:
-        reals = [getattr(self, f.name) for f in fields(self) if f.type is float]
+        reals = [getattr(self, k) for k, (_, coerce) in SCHEMA.items() if coerce is float]
         reals += [*self.times, *astuple(self.tolerances),
                   *(v for k, v in self.profile.items() if k != "name")]
         if not all(math.isfinite(x) for x in reals):
@@ -423,9 +412,9 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
             raise ConfigError(f"cannot read config {args.config}: {exc}") from exc
         if not isinstance(data, dict):
             raise ConfigError("config file must contain a JSON object")
-    overrides = {k: getattr(args, k) for k in (
-        "out", "n_velocity", "xi_max", "modes", "x_points", "method", "seed",
-        "inject_lambda_error", "fail_fast")}
+    # each flag is named after its key and is None when unset; --times and
+    # --profile arrive as text and are parsed here
+    overrides = {k: v for k, v in vars(args).items() if k in SCHEMA}
     if args.times is not None:
         if args.command == "solve-direct":
             raise ConfigError("solve-direct takes t_final, dt and output_stride, not --times")

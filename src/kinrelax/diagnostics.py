@@ -13,10 +13,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dispersion import DispersionTable, build_table, transfer_function
+from .dispersion import DispersionTable, transfer_function
 from .direct import BLOCK, ModeOperator, propagate
 from .gds import FieldSnapshot, KineticStateSpectral, SpectralDensity
-from .quadrature import VelocityGrid, as_grid_array, norm_phi
+from .quadrature import VelocityGrid, norm_phi
 
 
 @dataclass(frozen=True)
@@ -196,26 +196,6 @@ def direct_unit_modes(rho0: SpectralDensity, table: DispersionTable,
         dist[:, blk] = distance_to_ray(states, lift[blk], grid)
         del states  # free before the next block is integrated
     return np.where(rho0.xi_grid[idx] < 0, dens[:, row].conj(), dens[:, row]), dist[:, row]
-
-
-def relaxation_distance(f0, xi: float, grid: VelocityGrid, t_grid,
-                        method: str = "exact-dense") -> np.ndarray:
-    """Distance of the evolving state to the density-determined ray.
-
-    d(t) = ||f(t) - rho(t) K(xi)||_phi / ||f(t)||_phi with rho(t) the
-    state's own instantaneous density and K the transfer function.
-    Exploratory diagnostic only: it reports data, it asserts no
-    convergence statement.
-    """
-    f0 = as_grid_array(f0, grid)
-    if not np.any(f0):
-        raise ValueError("zero-norm state has no meaningful distance to the ray")
-    t_grid = np.asarray(t_grid, dtype=float)
-    if t_grid.ndim != 1 or len(t_grid) == 0 or np.any(np.diff(t_grid) <= 0) \
-            or t_grid[0] < 0:
-        raise ValueError("t_grid must be a strictly increasing 1D array from t >= 0")
-    states = propagate(f0[None], [xi], grid, t_grid, method=method)[:, 0]
-    return distance_to_ray(states, transfer_function(build_table([xi]), grid)[0], grid)
 
 
 def compare_gds_direct(rho0: SpectralDensity, times, table: DispersionTable,

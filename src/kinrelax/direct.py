@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import linalg
 
-from .quadrature import VelocityGrid, as_grid_array, integrate_phi, moment, norm_phi
+from .quadrature import VelocityGrid, as_grid_array, integrate_phi, norm_phi
 
 
 @dataclass(frozen=True)
@@ -43,11 +43,6 @@ class ModeOperator:
     def apply(self, f) -> np.ndarray:
         f = as_grid_array(f, self.grid)
         return self.diag * f + (f @ self.grid.weights)[..., None]
-
-    def mass_flux_residual(self, f):
-        """|<A f, 1>_phi + i xi <v f, 1>_phi|: mass changes only by flux."""
-        return np.abs(integrate_phi(self.apply(f), self.grid)
-                      + 1j * self.xi * moment(f, 1, self.grid))
 
     def hydrodynamic_eigenpair(self):
         """The least-damped eigenpair whose eigenvector carries mass.
@@ -199,12 +194,6 @@ def _power(P, n: int) -> np.ndarray:
         if n % 2:
             power = P if power is None else power @ P
     return power
-
-
-def step(f, xi: float, grid: VelocityGrid, dt: float, method: str = "rk4") -> np.ndarray:
-    """Advance one mode state by one step dt (see ``propagate``)."""
-    f = as_grid_array(f, grid)[None]
-    return propagate(f, [xi], grid, [dt], method=method, dt=dt)[0, 0]
 
 
 @dataclass(frozen=True)

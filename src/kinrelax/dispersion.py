@@ -217,26 +217,6 @@ class DispersionTable:
         with open(path, "w") as fh:
             write_rows(fh, head, np.column_stack([self.xi, self.c, self.b, self.lam]))
 
-    @classmethod
-    def from_csv(cls, path) -> "DispersionTable":
-        """Read a table ``to_csv`` wrote; metadata values read back as strings."""
-        metadata = {}
-        rows = []
-        with open(path) as fh:
-            for line in fh:
-                line = line.strip()
-                if not line or line == "xi,c,b,lambda":
-                    continue
-                if line.startswith("#"):
-                    body = line[1:].strip()
-                    if "=" in body:
-                        key, _, val = body.partition("=")
-                        metadata[key.strip()] = val.strip()
-                    continue
-                rows.append([float(tok) for tok in line.split(",")])
-        xi, c, b, lam = np.array(rows, dtype=float).reshape(len(rows), 4).T
-        return cls(xi=xi, c=c, b=b, a=lam / xi, lam=lam, metadata=metadata)
-
     def to_json(self, path) -> None:
         """The bytes of ``json.dump(doc, fh, indent=2, sort_keys=True)`` and "\\n"."""
         head = json.dumps({"format_version": TABLE_FORMAT_VERSION, "metadata": self.metadata},

@@ -283,26 +283,3 @@ def to_physical(state, x_points: int, table: DispersionTable | None = None,
     return FieldSnapshot(x_grid=x_grid, rho=rho, flux=flux,
                          time=getattr(state, "time", 0.0), f=f)
 
-
-def kernel_kv(v: float, y_grid, table: DispersionTable) -> np.ndarray:
-    """Convolution kernel at fixed molecular velocity v on the given offsets.
-
-    Synthesized as (dxi/2pi) * sum_j K_hat(xi_j, v) exp(i xi_j y) over the
-    table's frequencies: the periodic-domain inverse transform of the
-    band-limited transfer function.  The table must be sign-symmetric
-    (K_hat(-xi) = conj K_hat(xi) makes the sum real); its frequency set
-    must be uniform apart from the admissible hole at xi = 0.
-    """
-    xi = table.xi
-    if np.max(np.abs(xi + xi[::-1])) > 1e-12 * max(1.0, float(xi[-1])):
-        raise ValueError("kernel synthesis needs a sign-symmetric frequency table")
-    gaps = np.diff(xi)
-    dxi = float(np.min(gaps))
-    ok = np.isclose(gaps, dxi, rtol=1e-9) | np.isclose(gaps, 2 * dxi, rtol=1e-9)
-    if not np.all(ok):
-        raise ValueError("kernel synthesis needs uniformly spaced frequencies "
-                         "(a single gap at xi = 0 is allowed)")
-    y = np.asarray(y_grid, dtype=float)
-    k_hat = transfer_function(table, v)
-    kernel = (dxi / (2.0 * math.pi)) * (np.exp(1j * np.outer(y, xi)) @ k_hat)
-    return _real_checked(kernel, "convolution kernel")

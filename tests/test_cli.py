@@ -89,6 +89,18 @@ def test_flags_override_config_file(tmp_path):
     assert cfg_a.hash() != cfg_b.hash()
 
 
+@pytest.mark.parametrize("data, digest", [
+    ({}, "4631ce23e07e"),
+    ({"tolerances": {"gds_vs_direct": 1e-5}}, "4b4ff52d287d"),
+    ({"profile": {"name": "hann-band"}}, "90824a39df3d"),
+    ({"method": "rk4", "times": [1, 2]}, "dab113da81f9"),  # hashed as given, not coerced
+])
+def test_config_hash_is_pinned(data, digest):
+    # every artifact carries this hash: a change of defaults, key set or
+    # hashed form moves it and is an artifact change
+    assert RunConfig.from_dict(data).hash() == digest
+
+
 def test_bad_config_file_exits_2(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("[1, 2, 3]")
@@ -175,6 +187,20 @@ def test_cmd_properties(tmp_path):
     assert "mass_conservation_max" in names
     assert "transfer_normalization_max" in names
     assert "dense_eigenvalue_gap_max" in names
+
+
+def test_properties_below_the_resolving_order_fails_the_four_identity_rows(tmp_path):
+    # 33 nodes do not resolve the transfer function's pole on the default
+    # identity band 0.75 (54 is the least order that passes): exit 1, with
+    # the four 1e-8 rows about 75x over and every other row passing
+    out = tmp_path / "props"
+    assert run(["properties", "--n-velocity", "33", "--out", out]) == 1
+    rows = json.loads((out / "properties.json").read_text())["rows"]
+    failed = {r["name"]: r["value"] / r["tolerance"] for r in rows if not r["passed"]}
+    assert sorted(failed) == ["dense_eigenvalue_gap_max", "eigenpair_residual_max",
+                              "transfer_flux_max", "transfer_normalization_max"]
+    assert all(50.0 < ratio < 100.0 for ratio in failed.values())
+    assert len(rows) > len(failed)
 
 
 def test_properties_fail_fast_stops_early(tmp_path):

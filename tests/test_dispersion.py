@@ -262,13 +262,30 @@ def test_table_decay_rate_limits():
     assert table.lam[1] < -0.9
 
 
+def read_table_csv(path):
+    """(metadata, rows) of a table CSV: each "# key=value" line split at its
+    first '=', and the data rows parsed by np.loadtxt, shape (rows, 4)."""
+    with open(path) as fh:
+        lines = [line.removesuffix("\n") for line in fh]
+    assert lines[0] == f"# kinrelax dispersion table format v{TABLE_FORMAT_VERSION}"
+    header = lines.index("xi,c,b,lambda")
+    metadata = dict(line.removeprefix("# ").partition("=")[::2] for line in lines[1:header])
+    if header + 1 == len(lines):  # no rows, which np.loadtxt would warn about
+        return metadata, np.empty((0, 4))
+    return metadata, np.loadtxt(lines[header + 1:], delimiter=",", ndmin=2)
+
+
+def table_columns(table):
+    """The (xi, c, b, lambda) columns a table CSV holds, as one array."""
+    return np.column_stack([table.xi, table.c, table.b, table.lam])
+
+
 def test_table_csv_roundtrip(tmp_path):
     table = build_table(np.linspace(-0.9, 0.9, 13)[np.abs(np.linspace(-0.9, 0.9, 13)) > 1e-9])
     path = tmp_path / "table.csv"
     table.to_csv(path)
-    back = DispersionTable.from_csv(path)
-    for name in ("xi", "c", "b", "lam"):
-        assert np.array_equal(getattr(table, name), getattr(back, name)), name
+    _, rows = read_table_csv(path)
+    assert rows.tobytes() == table_columns(table).tobytes()
 
 
 def test_table_json_has_metadata(tmp_path):
@@ -284,7 +301,7 @@ def test_table_json_has_metadata(tmp_path):
 @pytest.mark.parametrize("key, value", [("note", "two\nlines"), ("note", "cr\rhere"),
                                         ("bad\nkey", "v"), ("bad\rkey", 1)])
 def test_table_csv_rejects_metadata_with_a_line_break(tmp_path, key, value):
-    # "two\nlines" used to write a "lines" row that from_csv could not parse
+    # "two\nlines" used to write a stray "lines" row that no reader could parse
     table = build_table([0.5], metadata={key: value})
     path = tmp_path / "table.csv"
     with pytest.raises(ValueError, match=re.escape(f"metadata item {key!r} holds")):
@@ -292,9 +309,9 @@ def test_table_csv_rejects_metadata_with_a_line_break(tmp_path, key, value):
     assert not path.exists()
     table = build_table([0.5], metadata={"note": "one line", "count": 1})
     table.to_csv(path)
-    back = DispersionTable.from_csv(path)
-    assert back.xi.tobytes() == table.xi.tobytes()
-    assert (back.metadata["note"], back.metadata["count"]) == ("one line", "1")
+    metadata, rows = read_table_csv(path)
+    assert rows[:, 0].tobytes() == table.xi.tobytes()
+    assert (metadata["note"], metadata["count"]) == ("one line", "1")
 
 
 @pytest.mark.parametrize("metadata, item", [
@@ -308,20 +325,18 @@ def test_table_csv_rejects_metadata_that_would_not_read_back(tmp_path, metadata,
     assert not path.exists()
     table = build_table([0.5], metadata={"a": "b=c", "pad": "v w", "#": "", "": 1.5})
     table.to_csv(path)
-    assert DispersionTable.from_csv(path).metadata == {
+    assert read_table_csv(path)[0] == {
         key: f"{value}" for key, value in table.metadata.items()}
 
 
 @pytest.mark.parametrize("n", [0, 1, 2 * CHUNK_ROWS + 3])
 def test_table_csv_roundtrip_is_bitwise_at_any_length(tmp_path, n):
-    # an empty table used to fail to read back (unpacking a 0-row array)
     table = build_table(np.linspace(0.05, 1.7, n))
     path = tmp_path / "table.csv"
     table.to_csv(path)
-    back = DispersionTable.from_csv(path)
-    assert len(back) == n
-    for name in ("xi", "c", "b", "a", "lam"):
-        assert getattr(back, name).tobytes() == getattr(table, name).tobytes(), name
+    _, rows = read_table_csv(path)
+    assert rows.shape == (n, 4)
+    assert rows.tobytes() == table_columns(table).tobytes()
 
 
 # The table writers as they were before rows were streamed in chunks: the
@@ -367,7 +382,7 @@ def _assert_writers_match_reference(table, tmp):
     table.to_csv(tmp / "t.csv")
     _reference_csv(table, tmp / "ref.csv")
     assert (tmp / "t.csv").read_bytes() == (tmp / "ref.csv").read_bytes()
-    assert DispersionTable.from_csv(tmp / "t.csv").metadata == meta
+    assert read_table_csv(tmp / "t.csv")[0] == meta
 
 
 SPECIAL_VALUES = [-0.0, 0.0, 5e-324, -5e-324, 1e308, -1e308,

@@ -6,7 +6,7 @@ import pytest
 from kinrelax.diagnostics import pide_residual
 from kinrelax.dispersion import build_table, transfer_function
 from kinrelax.gds import (KineticStateSpectral, SpectralDensity,
-                          evolve_density, kernel_kv, lift_to_kinetic,
+                          evolve_density, lift_to_kinetic,
                           make_band_limited_density, to_physical)
 from kinrelax.quadrature import SQRT_PI, build_grid
 
@@ -271,39 +271,6 @@ def test_lift_rows_match_per_mode_transfer_functions(grid):
         assert np.array_equal(state.f_hat[i],
                               transfer_function(point, grid)[0] * rho0.rho_hat[i])
     assert not np.any(np.delete(state.f_hat, rho0.active_indices(), axis=0))
-
-
-# -------------------------------------------------------------- kernel
-
-def test_kernel_is_real_and_even_at_zero_velocity():
-    rho0, table = small_setup()
-    y = np.linspace(-20.0, 20.0, 81)  # symmetric offsets
-    ker = kernel_kv(0.0, y, table)
-    assert ker.dtype == np.float64
-    assert np.max(np.abs(ker - ker[::-1])) < 1e-10 * np.max(np.abs(ker))
-    # manual complex synthesis confirms the imaginary residue is tiny
-    manual = (np.diff(table.xi).min() / (2 * np.pi)) * (
-        np.exp(1j * np.outer(y, table.xi)) @ (1.0 / (table.b + 0j)))
-    assert np.max(np.abs(manual.imag)) < 1e-10
-    assert np.max(np.abs(manual.real - ker)) < 1e-12
-
-
-def test_kernel_convolution_matches_spectral_path(grid):
-    rho0, table = small_setup(xi_max=0.8, modes=16)
-    state = lift_to_kinetic(rho0, table, grid)
-    snap = to_physical(state, 64, include_f=True)
-    rho_x = to_physical(rho0, 64, table=table).rho
-    for j in (5, 32, 58):
-        ker = kernel_kv(float(grid.nodes[j]), snap.x_grid, table)
-        conv = np.fft.ifft(np.fft.fft(ker) * np.fft.fft(rho_x)).real * snap.dx
-        scale = max(np.max(np.abs(snap.f[:, j])), 1e-300)
-        assert np.max(np.abs(conv - snap.f[:, j])) < 1e-7 * scale
-
-
-def test_kernel_requires_symmetric_table():
-    lopsided = build_table([0.2, 0.4, 0.6])
-    with pytest.raises(ValueError, match="sign-symmetric"):
-        kernel_kv(0.0, np.linspace(-1, 1, 11), lopsided)
 
 
 # -------------------------------------------------------------- residual

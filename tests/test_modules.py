@@ -1,4 +1,4 @@
-"""The package's import graph, pinned edge by edge.
+"""The package's import graph, pinned edge by edge, and its public names.
 
 The direct oracle must not see the construction it checks: ``direct``
 imports only ``quadrature``, ``gds`` does not import ``direct``, and of the
@@ -50,3 +50,26 @@ def package_imports(path: Path) -> set:
 def test_module_import_edges_are_pinned():
     found = {path.stem: package_imports(path) for path in sorted(SRC.glob("*.py"))}
     assert found == EDGES
+
+
+PUBLIC = {
+    "__version__",
+    "SQRT_PI", "VelocityGrid", "adaptive_phi_integral", "build_grid", "gaussian_moment",
+    "inner_product_phi", "integrate_phi", "moment", "norm_phi",
+    "apply_collision", "check_mass_conservation", "check_negative_semidefinite",
+    "check_self_adjoint", "collision_matrix", "operator_norm_bound_check",
+    "BAND_EDGE", "DispersionTable", "UnsupportedFrequencyError", "build_table", "c_of_xi",
+    "transfer_function", "xi_of_c", "xi_of_c_quadrature",
+    "ModeOperator", "ModeTrajectory", "default_rk4_dt", "evolve_mode", "rk4_stability_limit",
+    "DEFAULT_TRUNCATION", "FieldSnapshot", "KineticStateSpectral", "SpectralDensity",
+    "evolve_density", "lift_to_kinetic", "make_band_limited_density", "to_physical",
+    "ResidualReport", "Tolerances", "compare_gds_direct", "continuity_residual",
+    "fit_convergence_order", "pide_residual", "spectral_continuity_residual",
+}
+
+
+def test_public_names_are_pinned_and_resolve():
+    assert len(kinrelax.__all__) == len(set(kinrelax.__all__))
+    assert set(kinrelax.__all__) == PUBLIC
+    for name in kinrelax.__all__:
+        assert getattr(kinrelax, name, None) is not None, name
