@@ -13,6 +13,7 @@ error (any other exception, reported on one line).
 import argparse
 import hashlib
 import json
+import locale  # noqa: F401  argparse's gettext imports it on the first message
 import math
 import sys
 from dataclasses import astuple
@@ -20,6 +21,7 @@ from functools import cached_property
 from pathlib import Path
 
 import numpy as np
+from numpy.random import default_rng
 
 from . import __version__
 from .collision import (apply_collision, check_mass_conservation,
@@ -53,6 +55,19 @@ def _profile(value) -> dict:
     return {k: v if k == "name" else float(v) for k, v in value.items()}
 
 
+def _int(value) -> int:
+    # bool is an int subclass, and int() would truncate 10.9 the hash records
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise TypeError(f"expected a JSON integer, got {value!r}")
+    return value
+
+
+def _bool(value) -> bool:  # bool("false") is True
+    if not isinstance(value, bool):
+        raise TypeError(f"expected a JSON boolean (true or false), got {value!r}")
+    return value
+
+
 def _times(value) -> list:
     if not isinstance(value, (list, tuple)):
         raise TypeError("times must be a list of numbers")
@@ -62,27 +77,27 @@ def _times(value) -> list:
 # Each config key once: its default, which is what the hash sees for an unset
 # key, and the coercion of its value.  A flag of the same name overrides it.
 SCHEMA = {
-    "n_velocity": (64, int),
+    "n_velocity": (64, _int),
     "xi_max": (0.9, float),
-    "modes": (128, int),
-    "x_points": (512, int),
+    "modes": (128, _int),
+    "x_points": (512, _int),
     "profile": ({"name": "gaussian-bump", "sigma": 0.18, "center": 0.45,
                  "amplitude": 1.0}, _profile),
     "times": ([0.5, 1.0, 2.0, 5.0], _times),
     "method": ("exact", str),
-    "seed": (1234, int),
+    "seed": (1234, _int),
     "out": ("out", str),
     "xi_min": (1e-6, float),
     "edge_margin": (1e-6, float),
-    "dispersion_samples": (200, int),
+    "dispersion_samples": (200, _int),
     "identity_band": (0.75, float),
-    "identity_samples": (200, int),
+    "identity_samples": (200, _int),
     "dt": (0.01, float),
     "t_final": (5.0, float),
-    "output_stride": (10, int),
-    "include_kinetic": (False, bool),
+    "output_stride": (10, _int),
+    "include_kinetic": (False, _bool),
     "inject_lambda_error": (0.0, float),
-    "fail_fast": (False, bool),
+    "fail_fast": (False, _bool),
     "tolerances": ({}, Tolerances.from_dict),
 }
 DEFAULT_CONFIG = {key: default for key, (default, _) in SCHEMA.items()}
@@ -95,7 +110,10 @@ class RunConfig:
     def __init__(self, raw: dict):
         self.raw = raw
         for key, (_, coerce) in SCHEMA.items():
-            setattr(self, key, coerce(raw[key]))
+            try:
+                setattr(self, key, coerce(raw[key]))
+            except (TypeError, ValueError, OverflowError) as exc:  # float(10**400)
+                raise ConfigError(f"invalid config value for {key!r}: {exc}") from exc
 
     @classmethod
     def from_dict(cls, data: dict) -> "RunConfig":
@@ -103,10 +121,7 @@ class RunConfig:
         unknown = set(merged) - set(SCHEMA)
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-        try:
-            cfg = cls(merged)
-        except (TypeError, ValueError, OverflowError) as exc:  # int(inf) overflows
-            raise ConfigError(f"invalid config value: {exc}") from exc
+        cfg = cls(merged)
         cfg.validate()
         return cfg
 
@@ -282,7 +297,7 @@ def _property_rows(config: RunConfig):
     tol = config.tolerances
     grid = build_grid(config.n_velocity)
     w, v = grid.weights, grid.nodes
-    rng = np.random.default_rng(config.seed)
+    rng = default_rng(config.seed)
 
     yield "weights_sum_error", abs(np.sum(w) - 1.0), tol.weights_sum
     yield "node_antisymmetry", float(np.max(np.abs(v + v[::-1]))), tol.weights_sum

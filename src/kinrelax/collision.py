@@ -12,6 +12,7 @@ Velocity is the last axis: the operator and every check take one vector
 """
 
 import numpy as np
+from numpy.random import default_rng
 
 from .quadrature import VelocityGrid, as_grid_array, inner_product_phi, norm_phi
 
@@ -58,6 +59,6 @@ def operator_norm_bound_check(grid: VelocityGrid, samples: int = 1000,
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
-    z = np.random.default_rng(seed).standard_normal((samples, 2, grid.order))
+    z = default_rng(seed).standard_normal((samples, 2, grid.order))
     f = z[:, 0] + 1j * z[:, 1]
     return float(np.max(norm_phi(apply_collision(f, grid), grid) / norm_phi(f, grid)))

@@ -12,6 +12,7 @@ place (``Tolerances``) so pass/fail is reproducible.
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.fft import fft, fftfreq, ifft
 
 from .dispersion import DispersionTable, transfer_function
 from .direct import BLOCK, ModeOperator, propagate
@@ -87,8 +88,8 @@ class ResidualReport:
 
 def spectral_derivative(values: np.ndarray, dx: float) -> np.ndarray:
     """Exact periodic d/dx of a real sample array via the FFT."""
-    k = 2.0 * np.pi * np.fft.fftfreq(len(values), d=dx)
-    return np.fft.ifft(1j * k * np.fft.fft(values)).real
+    k = 2.0 * np.pi * fftfreq(len(values), d=dx)
+    return ifft(1j * k * fft(values)).real
 
 
 def continuity_residual(before: FieldSnapshot, center: FieldSnapshot,

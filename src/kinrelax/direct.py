@@ -10,16 +10,16 @@ q_j = i (f(v_j) - f(-v_j)) at its mirror make A_xi the real matrix
 R = [[-I + 2 1 w_h^T, -xi V_h], [xi V_h, -I]] over the half grid v_h (a centre
 node v = 0 has e = 2 f(0), no q, and coefficient 1, not 2).  This is exact by
 grid symmetry, not by dispersion: the matrix exponential, by scaling and
-squaring (Higham, 2005; eigenvectors are "dubious" for a nonnormal R, Moler &
-Van Loan, 2003), RK4 and the hydrodynamic eigenpair (one real eig of R) run in
-real arithmetic as the derivation-free oracles the package is validated against.
+squaring (Moler & Van Loan, 2003, who also call eigenvectors "dubious" for a
+nonnormal R) of a degree-16 Taylor polynomial, RK4 and the hydrodynamic
+eigenpair (one real eig of R) run in real arithmetic as the derivation-free
+oracles the package is validated against.
 """
 
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import linalg
 
 from .quadrature import VelocityGrid, as_grid_array, integrate_phi, norm_phi
 
@@ -78,8 +78,11 @@ def default_rk4_dt(xi, grid: VelocityGrid):
     return 0.01 / (1.0 + np.abs(xi) * grid.vmax)
 
 
-# Largest ||hA||_1 that expm's degree-13 Pade approximant takes unsquared (Higham, 2005)
-THETA13 = 5.371920351148152
+# Largest ||hR||_1 of a one-step propagator: there the remainder of the degree-16
+# Taylor series of exp(hR), at most THETA^17/17! e^(2 THETA) = 9.5e-17 relative,
+# lies below 2^-53
+THETA = 0.75
+_TAYLOR = [1.0 / math.factorial(k) for k in range(17)]
 
 # Modes advanced together.  Bounds the (BLOCK, N, N) propagators and their
 # powers and the states a caller holds at once, and lets each RK4 block
@@ -99,10 +102,11 @@ def propagate(f0, xi, grid: VelocityGrid, times, method: str = "exact-dense",
     for 'rk4', of T4(hA) = I + hA(I + hA/2(I + hA/3(I + hA/4))): exactly one
     classical RK4 step, rejected above the stability bound of any mode in a
     block.  Without dt, 'rk4' steps at the smallest ``default_rk4_dt`` of a
-    block, and 'exact-dense', the high-trust path, scales and squares: a
-    span is 2^s steps h, s >= 0 the least with h ||R||_1 <= THETA13, so the
-    power is s squarings of expm(hR).  A step count that is not finite
-    (times / dt overflows) raises ValueError.
+    block, and a span of 'exact-dense', the high-trust path, is one step.
+    'exact-dense' scales and squares: a step h is 2^s steps h 2^-s, s >= 0
+    the least with h 2^-s ||R||_1 <= THETA, each the degree-16 Taylor
+    polynomial of exp(h 2^-s R).  A step count that is not finite (times /
+    dt overflows) raises ValueError.
     """
     xi = np.atleast_1d(np.asarray(xi, dtype=float))
     f0 = np.asarray(f0, dtype=complex)
@@ -154,30 +158,57 @@ def _parity_generator(xi, grid: VelocityGrid) -> np.ndarray:
 def _march(f, xi, grid: VelocityGrid, method: str, stops, dt, out) -> None:
     """Advance one block from t=0 through the sorted stops into out[k], in parity
     coordinates, where A_xi is ``_parity_generator``: n steps h are one matvec by
-    P(h)^n, P made once per h, the last power reused."""
+    P(h)^n, P made once per h.  Without dt a span that is a whole number of the
+    last step h, in no more steps than its own 2^s, keeps that h; and P^n is a
+    power of the last power P^n' of the same h when n' divides n (spans 0.5,
+    0.5, 1, 3: P^8, then P^16 and P^48 by three more products)."""
     eye, y, R = np.eye(grid.order), to_parity(f, grid), _parity_generator(xi, grid)
-    if dt is None:  # log2(||R||_1 / THETA13) of the block, so s never overflows
-        scale = math.log2(float(np.max(np.abs(R).sum(axis=-2))) / THETA13)
+    if method == "exact-dense":  # log2(||R||_1 / THETA) of the block, so s never overflows
+        scale = math.log2(float(np.max(np.abs(R).sum(axis=-2))) / THETA)
     prop_h = power_hn = None
     for k, span in enumerate(np.diff(stops, prepend=0.0)):
         if span > 0.0:
+            n, h = 1, span
             if dt:
                 n = max(1, math.ceil(span / dt - 1e-9))
                 h = dt if abs(n * dt - span) <= 1e-9 * span else span / n
-            else:
-                s = max(0, math.ceil(math.log2(span) + scale))
-                n, h = 1 << s, math.ldexp(span, -s)
+            if method == "exact-dense":
+                s = max(0, math.ceil(math.log2(h) + scale))
+                n, h = n << s, math.ldexp(h, -s)
+                m = span / prop_h if prop_h and not dt else math.inf
+                if m <= n and m.is_integer():  # no more steps of the last h: keep it
+                    n, h = int(m), prop_h
             if (h, n) != power_hn:
                 if h != prop_h:  # one-step propagators of the block
                     hR = R * h
-                    prop_h, prop = h, linalg.expm(hR) if method == "exact-dense" else \
+                    prop_h, prop = h, _taylor16(hR) if method == "exact-dense" else \
                         eye + hR @ (eye + hR @ (eye + hR @ (eye + hR / 4.0) / 3.0) / 2.0)
-                power_hn, power = (h, n), _power(prop, n)
+                last_h, last_n = power_hn or (None, 1)
+                base, e = (power, n // last_n) if h == last_h and n % last_n == 0 else (prop, n)
+                power_hn, power = (h, n), _power(base, e)
             # the real power acts on the real and imaginary parts at once
             y = (power @ y.view(float).reshape(*y.shape, 2)).view(complex)[..., 0]
         out[k] = y
     out[:] = from_parity(out, grid)
     out[stops == 0.0] = f  # no basis roundtrip at t = 0
+
+
+def _taylor16(X) -> np.ndarray:
+    """sum_k X^k / k!, k <= 16, for a stack X (..., N, N): exp(X) to double
+    precision where ||X||_1 <= THETA.  Paterson-Stockmeyer: X^2, X^3, X^4, then
+    Horner in X^4 over blocks of degree 3, six products and no solve."""
+    X2 = X @ X
+    powers = (X, X2, X2 @ X)  # X^1, X^2, X^3
+    X4 = X2 @ X2
+    diag = np.arange(X.shape[-1])
+    P = _TAYLOR[16] * X4
+    for j in (12, 8, 4, 0):
+        for i, Xp in enumerate(powers, start=1):
+            P += _TAYLOR[j + i] * Xp
+        P[..., diag, diag] += _TAYLOR[j]  # the identity term: a full eye add costs a product
+        if j:
+            P = X4 @ P
+    return P
 
 
 def _power(P, n: int) -> np.ndarray:
@@ -214,7 +245,8 @@ def output_times(t_final: float, dt: float, output_stride: int = 1) -> np.ndarra
     n_steps = int(round(t_final / dt))
     if abs(n_steps * dt - t_final) > 1e-9 * max(1.0, t_final):
         raise ValueError(f"t_final={t_final!r} is not an integer multiple of dt={dt!r}")
-    return np.union1d(np.arange(0, n_steps + 1, output_stride), [n_steps]) * dt
+    steps = np.arange(0, n_steps + 1, output_stride)
+    return np.append(steps[steps != n_steps], n_steps) * dt  # np.union1d imports numpy.ma
 
 
 def evolve_mode(f0, xi: float, grid: VelocityGrid, t_final: float, dt: float,

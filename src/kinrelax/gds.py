@@ -23,6 +23,7 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.fft import ifft
 
 from .dispersion import SQRT_PI, DispersionTable, transfer_function
 from .quadrature import VelocityGrid
@@ -237,7 +238,7 @@ def _synthesize(values: np.ndarray, modes: int, x_points: int, L: float) -> np.n
     # -modes..modes) goes to FFT bin j mod x_points.
     packed = np.zeros((x_points,) + values.shape[1:], dtype=complex)
     packed[np.arange(-modes, modes + 1) % x_points] = values
-    return np.fft.ifft(packed, axis=0) * (x_points / L)
+    return ifft(packed, axis=0) * (x_points / L)
 
 
 def to_physical(state, x_points: int, table: DispersionTable | None = None,

@@ -22,6 +22,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.polynomial.hermite import hermgauss
 
 SQRT_PI = math.sqrt(math.pi)
 
@@ -59,7 +60,7 @@ def build_grid(order: int) -> VelocityGrid:
     if order < 2:
         raise ValueError(f"grid order must be >= 2, got {order}")
     with np.errstate(all="ignore"):  # all weights underflow to 0 at order 371
-        nodes, weights = np.polynomial.hermite.hermgauss(order)
+        nodes, weights = hermgauss(order)
         weights = weights / weights.sum()  # physicists' weights sum to sqrt(pi)
     if not np.all(np.isfinite(weights)) or np.any(weights <= 0.0):
         raise ValueError(

@@ -74,6 +74,30 @@ def test_config_rejections(bad):
         RunConfig.from_dict(bad)
 
 
+@pytest.mark.parametrize("bad", [
+    {"include_kinetic": "false"}, {"fail_fast": "no"}, {"include_kinetic": 0},
+    {"modes": 10.9}, {"modes": 64.0}, {"n_velocity": True}, {"seed": "7"},
+    {"output_stride": None},
+])
+def test_typed_keys_take_only_json_booleans_and_integers(tmp_path, capsys, bad):
+    # bool("false") turned the kinetic export on, and int(10.9) ran 10 modes
+    # under a hash that recorded 10.9
+    (key, value), = bad.items()
+    with pytest.raises(ConfigError, match=f"{key!r}: expected a JSON"):
+        RunConfig.from_dict(bad)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(bad))
+    assert run(["dispersion", "--config", cfg, "--out", tmp_path / "o"]) == 2
+    assert f"config error: invalid config value for {key!r}" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+def test_typed_keys_keep_their_json_values():
+    cfg = RunConfig.from_dict({"include_kinetic": True, "fail_fast": False, "modes": 10})
+    assert cfg.include_kinetic is True and cfg.fail_fast is False
+    assert type(cfg.modes) is int and cfg.modes == 10
+
+
 def test_flags_override_config_file(tmp_path):
     cfg_file = tmp_path / "cfg.json"
     cfg_file.write_text(json.dumps({"xi_max": 0.8, "modes": 10, "n_velocity": 32,

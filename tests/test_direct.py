@@ -6,8 +6,10 @@ import pytest
 from scipy import linalg
 
 from kinrelax.diagnostics import distance_to_ray
-from kinrelax.direct import (ModeOperator, _power, default_rk4_dt, evolve_mode,
-                             from_parity, propagate, rk4_stability_limit, to_parity)
+from kinrelax import dispersion, quadrature
+from kinrelax.direct import (ModeOperator, _parity_generator, _power, default_rk4_dt,
+                             evolve_mode, from_parity, propagate, rk4_stability_limit,
+                             to_parity)
 from kinrelax.dispersion import build_table, transfer_function
 from kinrelax.quadrature import build_grid, inner_product_phi, integrate_phi, moment, norm_phi
 
@@ -378,16 +380,30 @@ def test_parity_paths_match_the_nodal_generator(order, method, dt):
 
 
 def test_direct_paths_use_neither_erfcx_nor_hermite_nodes(grid, monkeypatch):
-    import scipy.special
-
     def forbidden(*args, **kwargs):
         raise AssertionError("the direct oracle must not use this")
 
-    monkeypatch.setattr(scipy.special, "erfcx", forbidden)
-    monkeypatch.setattr(np.polynomial.hermite, "hermgauss", forbidden)
+    monkeypatch.setattr(dispersion, "erfcx", forbidden)
+    monkeypatch.setattr(quadrature, "hermgauss", forbidden)
+    with pytest.raises(AssertionError, match="must not use"):  # the guards are live
+        build_table([0.3])
+    with pytest.raises(AssertionError, match="must not use"):
+        build_grid(8)
     f0 = np.ones((2, 64), dtype=complex)
     for method, dt in (("exact-dense", None), ("exact-dense", 0.1), ("rk4", None)):
         assert np.all(np.isfinite(propagate(f0, [0.3, 0.9], grid, [0.5], method, dt)))
+
+
+@pytest.mark.parametrize("norm", [0.01, 0.1, 0.75, 0.76, 3.0, 30.0])
+def test_exact_propagator_matches_scipy_expm(grid, norm):
+    # ||tR||_1 = norm in the block of xi = 1.7: one Taylor polynomial up to 0.75,
+    # then one more squaring per doubling (six at 30); columns from unit states
+    xi, n = np.array([0.0, 0.4, -1.1, 1.7]), grid.order
+    t = norm / np.max(np.abs(_parity_generator(xi, grid)).sum(axis=-2))
+    units = np.tile(np.eye(n, dtype=complex), (len(xi), 1))
+    got = propagate(units, np.repeat(xi, n), grid, [t])[0].reshape(len(xi), n, n)
+    ref = np.array([linalg.expm(t * A) for A in nodal_generator(ModeOperator(xi=xi, grid=grid))])
+    assert np.max(np.abs(got.swapaxes(-1, -2) - ref)) <= 1e-13 * np.max(np.abs(ref))
 
 
 @pytest.mark.parametrize("order", [2, 7, 64])

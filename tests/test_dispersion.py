@@ -3,16 +3,18 @@ import math
 import re
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 import scipy.special
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from kinrelax.dispersion import (CHUNK_ROWS, TABLE_FORMAT_VERSION, XI_RESIDUAL_TOL,
-                                 DispersionTable, UnsupportedFrequencyError,
-                                 build_table, c_of_xi, transfer_function, xi_of_c,
-                                 xi_of_c_quadrature)
+from kinrelax import dispersion, quadrature
+from kinrelax.dispersion import (_ERFCX_Q, CHUNK_ROWS, DEFAULT_EDGE_MARGIN, DEFAULT_XI_MIN,
+                                 TABLE_FORMAT_VERSION, XI_RESIDUAL_TOL, DispersionTable,
+                                 UnsupportedFrequencyError, build_table, c_of_xi, erfcx,
+                                 transfer_function, xi_of_c, xi_of_c_quadrature)
 from kinrelax.quadrature import SQRT_PI, build_grid
 
 
@@ -39,10 +41,48 @@ def test_quadrature_oracle_uses_neither_erfcx_nor_hermite_nodes(monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("the quadrature oracle must not use this")
 
-    monkeypatch.setattr(scipy.special, "erfcx", forbidden)
-    monkeypatch.setattr(np.polynomial.hermite, "hermgauss", forbidden)
+    monkeypatch.setattr(dispersion, "erfcx", forbidden)
+    monkeypatch.setattr(quadrature, "hermgauss", forbidden)
+    with pytest.raises(AssertionError, match="must not use"):  # the guard is live
+        xi_of_c(1.0)
     for c, xi in zip(cs, expected):
         assert abs(xi_of_c_quadrature(float(c)) - xi) <= 1e-10 * xi
+
+
+def test_erfcx_matches_scipy_and_is_exact_at_the_ends():
+    x = np.concatenate([np.linspace(0.0, 30.0, 300_001), np.logspace(-320, 308, 300_001)])
+    assert np.max(np.abs(erfcx(x) / scipy.special.erfcx(x) - 1.0)) <= 2e-15
+    assert erfcx(np.array([0.0, np.inf])).tolist() == [1.0, 0.0]
+    assert erfcx(0.5).shape == () and erfcx(np.ones((2, 3))).shape == (2, 3)
+    for sweep in (np.linspace(0.0, 30.0, 10**6), np.logspace(-320, 308, 10**6)):
+        assert np.all(np.diff(erfcx(sweep)) <= 0.0)
+
+
+def test_erfcx_coefficients_are_the_documented_fit():
+    # Chebyshev interpolation of q(z) = log(erfcx(x)/t)/(1 - z), t = 2/(2 + x) =
+    # (1 + z)/2, at 120 nodes in 60 digits, its first 28 terms as monomials in z
+    mp, m, n = mpmath, 120, 28
+
+    def q(z):
+        t = (1 + z) / 2
+        x = 2 / t - 2
+        return mp.log(mp.exp(x * x) * mp.erfc(x) / t) / (1 - z)
+
+    with mp.workdps(60):
+        theta = [mp.pi * (j + mp.mpf(1) / 2) / m for j in range(m)]
+        values = [q(mp.cos(th)) for th in theta]
+        cheb = [2 * mp.fsum(v * mp.cos(i * th) for v, th in zip(values, theta)) / m
+                for i in range(n)]
+        cheb[0] /= 2
+        mono, t_prev, t_cur = [mp.mpf(0)] * n, [1], [0, 1]
+        for i in range(n):  # T_i in monomials, by T_(i+1) = 2z T_i - T_(i-1)
+            for j, coeff in enumerate(t_prev):
+                mono[j] += cheb[i] * coeff
+            t_prev, t_cur = t_cur, [2 * a - b for a, b in
+                                    zip([0, *t_cur], [*t_prev, 0, 0])]
+        fit = [float(a) for a in mono]
+    stored = _ERFCX_Q[::-1, :, 0].T.ravel()  # a_j at j = 4i + l
+    assert stored.tolist() == fit
 
 
 def test_xi_rejects_zero():
@@ -144,6 +184,55 @@ def test_near_edge_frequencies_warn_once_per_call():
     assert caught[0].category is RuntimeWarning
     assert "40 near-edge frequencies" in str(caught[0].message)
     assert "first xi=1e-12" in str(caught[0].message)
+
+
+# xi_min and the edge margin themselves, inside both near zones, 1e-3 from the
+# edge (about 1,000 ulps of c per ulp of Xi) and the last double below the edge
+EDGE_CASES = [DEFAULT_XI_MIN, 1e-7, 1e-12, 1e-300, SQRT_PI - DEFAULT_EDGE_MARGIN,
+              SQRT_PI - 1e-3, SQRT_PI - 1e-9, math.nextafter(SQRT_PI, 0.0)]
+
+
+def _better_adjacent(c, xi):
+    """Whether |c| is the one of the two adjacent doubles around the sign change
+    of Xi - |xi| with the smaller |residual| (the upper one on a tie)."""
+    c, x = np.abs(c), np.abs(xi)
+    r, up, down = (xi_of_c(v) - x for v in (c, np.nextafter(c, np.inf), np.nextafter(c, 0.0)))
+    return (((r > 0.0) & (up <= 0.0) & (np.abs(r) < np.abs(up)))
+            | ((down > 0.0) & (r <= 0.0) & (np.abs(r) <= np.abs(down))))
+
+
+@pytest.mark.parametrize("xi", EDGE_CASES)
+def test_edge_cases_invert_to_the_better_adjacent_double(xi):
+    near = xi < DEFAULT_XI_MIN or xi > SQRT_PI - DEFAULT_EDGE_MARGIN
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        c = c_of_xi(xi)
+        assert c_of_xi(-xi) == -c
+    assert len(caught) == (2 if near else 0)
+    assert isinstance(c, float) and _better_adjacent(c, xi)
+
+
+@pytest.mark.parametrize("n", [1, 16, 256, 8020])
+def test_inversion_is_the_better_adjacent_double_at_any_size(n):
+    rng = np.random.default_rng(n)
+    x = np.concatenate([EDGE_CASES[:n], rng.uniform(0.0, SQRT_PI, n),
+                        10.0 ** rng.uniform(-300.0, 0.0, n)])
+    x = rng.permutation(x[x > 0.0][:n]) * rng.choice([-1.0, 1.0], n)
+    near = (np.abs(x) < DEFAULT_XI_MIN) | (np.abs(x) > SQRT_PI - DEFAULT_EDGE_MARGIN)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        c = c_of_xi(x)
+    assert len(caught) == int(near.any())
+    if near.any():
+        assert f"{np.count_nonzero(near)} near-edge frequencies" in str(caught[0].message)
+    assert c.shape == x.shape and np.array_equal(np.sign(c), np.sign(x))
+    assert np.all(_better_adjacent(c, x))
+    bad = x.copy()
+    bad[n // 2] = -1e-310  # subnormal: its root exceeds the largest double
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        with pytest.raises(UnsupportedFrequencyError, match="xi=-1e-310 is too close to 0"):
+            c_of_xi(bad)
 
 
 def test_array_inversion_rejects_out_of_band_element():

@@ -3,10 +3,17 @@
 The direct oracle must not see the construction it checks: ``direct``
 imports only ``quadrature``, ``gds`` does not import ``direct``, and of the
 library modules only ``diagnostics`` and ``cli`` import both the
-construction (``dispersion``, ``gds``) and the oracle (``direct``).
+construction (``dispersion``, ``gds``) and the oracle (``direct``).  The
+runtime needs numpy alone: no module imports scipy, and a command imports
+nothing the CLI did not import at start-up.
 """
 
 import ast
+import json
+import os
+import subprocess
+import sys
+import textwrap
 from pathlib import Path
 
 import kinrelax
@@ -50,6 +57,47 @@ def package_imports(path: Path) -> set:
 def test_module_import_edges_are_pinned():
     found = {path.stem: package_imports(path) for path in sorted(SRC.glob("*.py"))}
     assert found == EDGES
+
+
+def test_no_module_imports_scipy():
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                names = [node.module]
+            else:
+                continue
+            assert all(name.split(".")[0] != "scipy" for name in names), path.name
+
+
+# Every command at small sizes, and the rk4 path of compare.
+COMMANDS = [["dispersion"], ["build-gds", "--config", "{kinetic}"],
+            ["solve-direct", "--modes", "2"], ["compare", "--modes", "2"],
+            ["compare", "--method", "rk4", "--modes", "2", "--times", "0.5"],
+            ["properties"]]
+
+
+def test_commands_import_nothing_past_start_up(tmp_path):
+    # a module a command imports on first use would be timed as its work
+    kinetic = tmp_path / "kinetic.json"
+    kinetic.write_text(json.dumps({"include_kinetic": True, "modes": 4, "x_points": 16}))
+    script = textwrap.dedent("""
+        import json, sys
+        import kinrelax.cli
+        assert "scipy" not in sys.modules, "importing kinrelax.cli imported scipy"
+        before = set(sys.modules)
+        for k, args in enumerate(json.loads(sys.argv[1])):
+            code = kinrelax.cli.main([*args, "--out", f"{sys.argv[2]}/{k}"])
+            assert code == 0, (args, code)
+        assert set(sys.modules) == before, sorted(set(sys.modules) - before)
+    """)
+    runs = [[a.format(kinetic=kinetic) for a in args] for args in COMMANDS]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(SRC.parent), *filter(None, [os.environ.get("PYTHONPATH")])])}
+    proc = subprocess.run([sys.executable, "-c", script, json.dumps(runs), str(tmp_path)],
+                          env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
 
 
 PUBLIC = {
