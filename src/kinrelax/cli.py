@@ -30,8 +30,8 @@ from .collision import (apply_collision, check_mass_conservation,
 from .diagnostics import (Tolerances, compare_gds_direct, direct_unit_modes,
                           spectral_continuity_residual)
 from .direct import ModeOperator, output_times
-from .dispersion import (SQRT_PI, build_table, c_of_xi, transfer_function, write_rows,
-                         xi_of_c, xi_of_c_quadrature)
+from .dispersion import (SQRT_PI, build_table, c_of_xi, render_each, transfer_function,
+                         write_rows, xi_of_c, xi_of_c_quadrature)
 from .gds import (PROFILE_NAMES, evolve_density, lift_to_kinetic,
                   make_band_limited_density, to_physical)
 from .quadrature import build_grid, gaussian_moment, moment
@@ -260,12 +260,12 @@ def cmd_solve_direct(config: RunConfig, out: Path) -> int:
     times = output_times(config.t_final, config.dt, config.output_stride)
     unit, dist = direct_unit_modes(rho0, table, grid, times,
                                    method=config.solver_method, dt=config.dt)
-    for k, i in enumerate(rho0.active_indices()):
-        xi = float(rho0.xi_grid[i])
-        d = rho0.rho_hat[i] * unit[:, k]
+    active = rho0.active_indices()
+    d = (rho0.rho_hat[active] * unit).T  # (modes, times)
+    rows = np.stack([np.broadcast_to(times, d.shape), d.real, d.imag, dist.T], axis=-1)
+    for xi, text in zip(rho0.xi_grid[active].tolist(), render_each(rows)):
         write_csv(traj_dir / f"mode_{_tag(xi)}.csv",
-                  ("t", "re_rho_hat", "im_rho_hat", "gds_distance"),
-                  np.column_stack([times, d.real, d.imag, dist[:, k]]), config,
+                  ("t", "re_rho_hat", "im_rho_hat", "gds_distance"), text, config,
                   extra_meta=(f"xi={xi:.17g}", f"method={config.solver_method}"))
     print(f"solve-direct: wrote {unit.shape[1]} mode trajectories to {traj_dir}")
     return 0

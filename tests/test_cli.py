@@ -6,11 +6,13 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from kinrelax import __version__, cli
+from kinrelax import __version__, cli, dispersion
 from kinrelax.cli import (DEFAULT_CONFIG, REFERENCE_CURVE_XI, ConfigError, RunConfig,
                           _property_rows, main, write_csv)
 from kinrelax.collision import (apply_collision, check_mass_conservation,
                                 check_negative_semidefinite, check_self_adjoint)
+from kinrelax.diagnostics import direct_unit_modes
+from kinrelax.direct import output_times
 from kinrelax.dispersion import CHUNK_ROWS, build_table
 from kinrelax.gds import (evolve_density, lift_to_kinetic, make_band_limited_density,
                           to_physical)
@@ -191,6 +193,31 @@ def test_cmd_solve_direct(tmp_path):
     header, data = read_csv(files[0])
     assert header == ["t", "re_rho_hat", "im_rho_hat", "gds_distance"]
     assert data[0, 0] == 0.0 and data[-1, 0] == 5.0
+
+
+@pytest.mark.parametrize("chunk", [dispersion.CHUNK_VALUES, 7])
+def test_solve_direct_files_hold_their_own_modes_rows(tmp_path, monkeypatch, chunk):
+    # the trajectories share one formatter pass; at 7 values a pass, with no small
+    # path, each file takes many passes and its rows straddle them
+    monkeypatch.setattr(dispersion, "CHUNK_VALUES", chunk)
+    monkeypatch.setattr(dispersion, "SMALL_VALUES", 0)
+    config = RunConfig.from_dict({"modes": 6, "xi_max": 0.6, "n_velocity": 16})
+    out = tmp_path / "o"
+    assert cli.cmd_solve_direct(config, out) == 0
+    rho0 = cli._make_profile(config)
+    times = output_times(config.t_final, config.dt, config.output_stride)
+    unit, dist = direct_unit_modes(rho0, cli._table_for(config, rho0), build_grid(16), times,
+                                   method=config.solver_method, dt=config.dt)
+    for k, i in enumerate(rho0.active_indices()):  # the per-mode writer it replaced
+        xi = float(rho0.xi_grid[i])
+        d = rho0.rho_hat[i] * unit[:, k]
+        _reference_write_csv(tmp_path / "ref.csv", ("t", "re_rho_hat", "im_rho_hat",
+                                                     "gds_distance"),
+                             np.column_stack([times, d.real, d.imag, dist[:, k]]), config,
+                             extra_meta=(f"xi={xi:.17g}", f"method={config.solver_method}"))
+        path = out / "trajectories" / f"mode_{cli._tag(xi)}.csv"
+        assert path.read_bytes() == (tmp_path / "ref.csv").read_bytes()
+    assert len(list((out / "trajectories").iterdir())) == len(rho0.active_indices())
 
 
 def test_cmd_compare_pass_and_inject(tmp_path):

@@ -1,3 +1,4 @@
+import io
 import json
 import math
 import re
@@ -11,10 +12,11 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from kinrelax import dispersion, quadrature
-from kinrelax.dispersion import (_ERFCX_Q, CHUNK_ROWS, DEFAULT_EDGE_MARGIN, DEFAULT_XI_MIN,
-                                 TABLE_FORMAT_VERSION, XI_RESIDUAL_TOL, DispersionTable,
-                                 UnsupportedFrequencyError, build_table, c_of_xi, erfcx,
-                                 transfer_function, xi_of_c, xi_of_c_quadrature)
+from kinrelax.dispersion import (_ERFCX_Q, CHUNK_ROWS, CHUNK_VALUES, DEFAULT_EDGE_MARGIN,
+                                 DEFAULT_XI_MIN, SMALL_VALUES, TABLE_FORMAT_VERSION,
+                                 XI_RESIDUAL_TOL, DispersionTable, UnsupportedFrequencyError,
+                                 build_table, c_of_xi, erfcx, render_each, transfer_function,
+                                 write_rows, xi_of_c, xi_of_c_quadrature)
 from kinrelax.quadrature import SQRT_PI, build_grid
 
 
@@ -523,6 +525,85 @@ def test_built_table_writers_reproduce_the_reference_bytes(tmp_path, n):
     table = build_table(np.linspace(-1.7, 1.7, 2 * n)[::2],
                         metadata={"label": "run", "count": 3, "scale": 0.1})
     _assert_writers_match_reference(table, tmp_path)
+
+
+def _percent_g_lines(rows):
+    """The reference CSV rows: "%.17g" % v for every value, one join per row."""
+    return "".join(",".join("%.17g" % v for v in row) + "\n" for row in rows.tolist())
+
+
+def _with_neighbours(values):
+    values = np.asarray(values, dtype=float)
+    return np.concatenate([np.nextafter(values, -np.inf), values, np.nextafter(values, np.inf)])
+
+
+_RNG = np.random.default_rng(20261018)
+FORMATTER_INPUTS = {
+    "bit patterns over all doubles": _RNG.integers(0, 2**64, 40000, dtype=np.uint64,
+                                                   endpoint=False).view(np.float64),
+    # exact decimal ties at the 17th digit: Python rounds them half-even
+    "ties o/4, o odd": (2 * _RNG.integers(2 * 10**15, 45 * 10**14, 20000) + 1) / 4.0,
+    # every tie written in exponent form: o 2^-(s+1) for odd o with o 5^s / 2 in
+    # [1e16, 1e17), s = 16 - X for X = -8..-5 (2.0**-25, 43 / 2**22, ...)
+    "exponent-form ties and neighbours": _with_neighbours(
+        [o / 2.0**(s + 1) for s in range(21, 25)
+         for o in range(1, 2 * 10**17 // 5**s + 1, 2) if 2 * 10**16 <= o * 5**s < 2 * 10**17]),
+    "powers of ten and neighbours": _with_neighbours([10.0**k for k in range(-323, 309)]),
+    "fixed/exponent switch and carry points": _with_neighbours(
+        [1e-5, 1e-4, 1e16, 1e17, 9.9999999999999999e22]),
+    "extremes": np.array([5e-324, 1.7976931348623157e308, -1.7976931348623157e308]),
+    "zeros and non-finite": np.array([0.0, -0.0, math.nan, math.inf, -math.inf]),
+}
+
+
+@pytest.mark.parametrize("name", FORMATTER_INPUTS)
+def test_formatter_is_percent_g_byte_for_byte(name):
+    values = np.concatenate([FORMATTER_INPUTS[name], -FORMATTER_INPUTS[name]])
+    for start in range(0, len(values), CHUNK_VALUES):  # the numpy pass at any length
+        chunk = values[start:start + CHUNK_VALUES]
+        text = dispersion._format_pass(chunk, np.ones(len(chunk), bool))
+        assert text == _percent_g_lines(chunk[:, None])
+
+
+@pytest.mark.parametrize("ncols", [1, 4, 65])
+def test_writer_rows_are_exact_across_every_chunk_boundary(ncols):
+    rng = np.random.default_rng(ncols)
+    for size in (SMALL_VALUES - 1, SMALL_VALUES, CHUNK_VALUES - 1, CHUNK_VALUES, CHUNK_VALUES + 1,
+                 3 * CHUNK_VALUES + 5):
+        n = -(-size // ncols)  # a 65-column row straddles each boundary
+        rows = rng.choice([-1.0, 1.0], (n, ncols)) * 10.0 ** rng.uniform(-323, 308, (n, ncols))
+        flat = rows.reshape(-1)  # fallback values on each side of each boundary
+        for boundary in range(CHUNK_VALUES, flat.size, CHUNK_VALUES):
+            flat[boundary - 2:boundary + 1] = (2.0**-25, math.nan, 4000000000000001 / 4)
+        fh = io.StringIO()
+        write_rows(fh, ["# head", "c"], rows)
+        assert fh.getvalue() == "# head\nc\n" + _percent_g_lines(rows)
+
+
+def test_formatter_passes_stay_within_the_chunk_bound(monkeypatch):
+    # a pass holds about 300 bytes of scratch per value, so one pass over a whole
+    # artifact would add megabytes to the peak resident size
+    sizes, real = [], dispersion._format_pass
+    monkeypatch.setattr(dispersion, "_format_pass",
+                        lambda values, ends: sizes.append(len(values)) or real(values, ends))
+    rng = np.random.default_rng(3)
+    write_rows(io.StringIO(), [], rng.standard_normal((17, 3)))  # properties.csv: one "%"
+    assert sizes == []
+    for shape in [(3000, 65), (13000, 4)]:
+        sizes.clear()
+        write_rows(io.StringIO(), [], rng.standard_normal(shape))
+        assert sum(sizes) == shape[0] * shape[1] and max(sizes) <= CHUNK_VALUES
+    sizes.clear()  # solve-direct at defaults: 256 trajectories of 51 rows share passes
+    texts = render_each(rng.standard_normal((256, 51, 4)))
+    next(texts)  # formats the first 20 trajectories only
+    assert sizes == [20 * 51 * 4]
+    assert len(list(texts)) == 255 and max(sizes) <= CHUNK_VALUES and len(sizes) == 13
+
+
+@pytest.mark.parametrize("shape", [(256, 51, 4), (3, 1100, 4), (2, 3, 2000), (4, 0, 4), (1, 1, 1)])
+def test_each_array_of_a_stack_gets_its_own_rows(shape):
+    stack = np.random.default_rng(4).standard_normal(shape)
+    assert list(render_each(stack)) == [_percent_g_lines(rows) for rows in stack]
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
