@@ -142,7 +142,9 @@ class RunConfig:
             raise ConfigError("x_points must be a power of two >= 2*(modes+1)")
         if self.method not in ("rk4", "exact"):
             raise ConfigError("method must be 'rk4' or 'exact'")
-        if not self.times or min(self.times) < 0.0:
+        if not self.times:
+            raise ConfigError("times is an empty list: give at least one output time")
+        if min(self.times) < 0.0:
             raise ConfigError("times must be nonnegative")
         if self.profile.get("name") not in PROFILE_NAMES:
             raise ConfigError(f"unknown profile {self.profile.get('name')!r}")

@@ -201,8 +201,7 @@ def direct_unit_modes(rho0: SpectralDensity, table: DispersionTable,
 
 def compare_gds_direct(rho0: SpectralDensity, times, table: DispersionTable,
                        grid: VelocityGrid, method: str = "exact-dense",
-                       tolerance: float = 1e-6, lambda_offset: float = 0.0,
-                       rk4_dt: float | None = None) -> ResidualReport:
+                       tolerance: float = 1e-6, lambda_offset: float = 0.0) -> ResidualReport:
     """Per-mode, per-time relative error between the closed-form density
     exp(lam t) rho0_hat and the directly integrated mode density.
 
@@ -219,7 +218,7 @@ def compare_gds_direct(rho0: SpectralDensity, times, table: DispersionTable,
     if len(idx) == 0:
         raise ValueError("initial spectrum has no active modes")
 
-    unit, _ = direct_unit_modes(rho0, table, grid, times, method=method, dt=rk4_dt)
+    unit, _ = direct_unit_modes(rho0, table, grid, times, method=method)
     xi = rho0.xi_grid[idx]
     amp = rho0.rho_hat[idx][:, None]
     rho_closed = amp * np.exp((table.lam[table.index_of(xi)][:, None] + lambda_offset)

@@ -11,9 +11,9 @@ R = [[-I + 2 1 w_h^T, -xi V_h], [xi V_h, -I]] over the half grid v_h (a centre
 node v = 0 has e = 2 f(0), no q, and coefficient 1, not 2).  This is exact by
 grid symmetry, not by dispersion: the matrix exponential, by scaling and
 squaring (Moler & Van Loan, 2003, who also call eigenvectors "dubious" for a
-nonnormal R) of a degree-16 Taylor polynomial, RK4 and the hydrodynamic
-eigenpair (one real eig of R) run in real arithmetic as the derivation-free
-oracles the package is validated against.
+nonnormal R) of a degree-16 Taylor polynomial, RK4 (the degree-4 one) and the
+hydrodynamic eigenpair (one real eig of R) run in real arithmetic as the
+derivation-free oracles the package is validated against.
 """
 
 import math
@@ -74,7 +74,7 @@ def rk4_stability_limit(xi, grid: VelocityGrid):
 
 
 def default_rk4_dt(xi, grid: VelocityGrid):
-    """Conservative default step 0.01 / (1 + |xi| vmax), per frequency."""
+    """Conservative RK4 step bound 0.01 / (1 + |xi| vmax), per frequency."""
     return 0.01 / (1.0 + np.abs(xi) * grid.vmax)
 
 
@@ -86,7 +86,7 @@ _TAYLOR = [1.0 / math.factorial(k) for k in range(17)]
 
 # Modes advanced together.  Bounds the (BLOCK, N, N) propagators and their
 # powers and the states a caller holds at once, and lets each RK4 block
-# step at the smallest default step of its own modes.
+# step within the smallest default step of its own modes.
 BLOCK = 16
 
 
@@ -95,18 +95,18 @@ def propagate(f0, xi, grid: VelocityGrid, times, method: str = "exact-dense",
     """States of modes f0 (modes, N) at xi (modes,), shape (len(times), modes, N).
 
     Blocks of BLOCK modes make one pass through the sorted distinct times
-    (``times`` may be unsorted or repeated).  With a step dt, each span
-    between them is the fewest equal steps no longer than dt ending on its
-    output time (a step within 1e-9 of dt is dt, so evenly spaced outputs
-    share one), taken as one matrix power of expm(hA) for 'exact-dense' or,
-    for 'rk4', of T4(hA) = I + hA(I + hA/2(I + hA/3(I + hA/4))): exactly one
-    classical RK4 step, rejected above the stability bound of any mode in a
-    block.  Without dt, 'rk4' steps at the smallest ``default_rk4_dt`` of a
-    block, and a span of 'exact-dense', the high-trust path, is one step.
-    'exact-dense' scales and squares: a step h is 2^s steps h 2^-s, s >= 0
-    the least with h 2^-s ||R||_1 <= THETA, each the degree-16 Taylor
-    polynomial of exp(h 2^-s R).  A step count that is not finite (times /
-    dt overflows) raises ValueError.
+    (``times`` may be unsorted or repeated).  A method is a step bound and a
+    Taylor degree, and ``_march`` applies one span rule to both: each span
+    between outputs is the fewest equal steps no longer than dt ending on its
+    output time (one step without dt; a step within 1e-9 of dt is dt, so evenly
+    spaced outputs share one), then halved the fewest times s >= 0 that bring
+    a step h within the bound, and taken as one matrix power of the Taylor
+    polynomial of exp(hA).  'rk4' is degree 4, exactly one classical RK4 step,
+    bounded by dt or else the smallest ``default_rk4_dt`` of a block, which is
+    rejected above the stability bound of any of its modes.  'exact-dense',
+    the high-trust path, scales and squares: degree 16, bounded by ||hR||_1
+    <= THETA, where the series remainder lies below double precision.  A
+    step count that is not finite (times / dt overflows) raises ValueError.
     """
     xi = np.atleast_1d(np.asarray(xi, dtype=float))
     f0 = np.asarray(f0, dtype=complex)
@@ -124,15 +124,18 @@ def propagate(f0, xi, grid: VelocityGrid, times, method: str = "exact-dense",
     out = np.empty((len(stops),) + f0.shape, dtype=complex)
     for lo in range(0, len(xi), BLOCK):
         blk = slice(lo, lo + BLOCK)
-        h = dt
+        R, h = _parity_generator(xi[blk], grid), dt
         if method == "rk4":
             h = h or float(np.min(default_rk4_dt(xi[blk], grid)))
             limit = float(np.min(rk4_stability_limit(xi[blk], grid)))
             if h > limit:
                 raise ValueError(f"dt={h:g} exceeds the RK4 stability bound {limit:g}")
+            degree, bound = 4, h
+        else:
+            degree, bound = 16, THETA / float(np.max(np.abs(R).sum(axis=-2)))
         if h is not None and not math.isfinite(float(np.max(stops, initial=0.0)) / h):
             raise ValueError(f"the step count {np.max(stops):g} / dt={h:g} is not finite")
-        _march(f0[blk], xi[blk], grid, method, stops, h, out[:, blk])
+        _march(f0[blk], R, grid, degree, bound, stops, dt, out[:, blk])
     return out if np.array_equal(stops, times) else out[order]
 
 
@@ -155,16 +158,15 @@ def _parity_generator(xi, grid: VelocityGrid) -> np.ndarray:
             - np.multiply.outer(xi, v[:, None] * eye[::-1]))
 
 
-def _march(f, xi, grid: VelocityGrid, method: str, stops, dt, out) -> None:
+def _march(f, R, grid: VelocityGrid, degree: int, bound: float, stops, dt, out) -> None:
     """Advance one block from t=0 through the sorted stops into out[k], in parity
-    coordinates, where A_xi is ``_parity_generator``: n steps h are one matvec by
-    P(h)^n, P made once per h.  Without dt a span that is a whole number of the
-    last step h, in no more steps than its own 2^s, keeps that h; and P^n is a
-    power of the last power P^n' of the same h when n' divides n (spans 0.5,
-    0.5, 1, 3: P^8, then P^16 and P^48 by three more products)."""
-    eye, y, R = np.eye(grid.order), to_parity(f, grid), _parity_generator(xi, grid)
-    if method == "exact-dense":  # log2(||R||_1 / THETA) of the block, so s never overflows
-        scale = math.log2(float(np.max(np.abs(R).sum(axis=-2))) / THETA)
+    coordinates, where A_xi is R (``_parity_generator``): n steps h, no longer
+    than bound, are one matvec by P(h)^n, P the degree-``degree`` Taylor
+    polynomial of exp(hR), made once per h.  Without dt a span that is a whole
+    number of the last step h, in no more steps than its own 2^s, keeps that h;
+    and P^n is a power of the last power P^n' of the same h when n' divides n
+    (spans 0.5, 0.5, 1, 3: P^8, then P^16 and P^48 by three more products)."""
+    y, log_bound = to_parity(f, grid), math.log2(bound)  # so s never overflows
     prop_h = power_hn = None
     for k, span in enumerate(np.diff(stops, prepend=0.0)):
         if span > 0.0:
@@ -172,17 +174,14 @@ def _march(f, xi, grid: VelocityGrid, method: str, stops, dt, out) -> None:
             if dt:
                 n = max(1, math.ceil(span / dt - 1e-9))
                 h = dt if abs(n * dt - span) <= 1e-9 * span else span / n
-            if method == "exact-dense":
-                s = max(0, math.ceil(math.log2(h) + scale))
-                n, h = n << s, math.ldexp(h, -s)
-                m = span / prop_h if prop_h and not dt else math.inf
-                if m <= n and m.is_integer():  # no more steps of the last h: keep it
-                    n, h = int(m), prop_h
+            s = max(0, math.ceil(math.log2(h) - log_bound))
+            n, h = n << s, math.ldexp(h, -s)
+            m = span / prop_h if prop_h and not dt else math.inf
+            if m <= n and m.is_integer():  # no more steps of the last h: keep it
+                n, h = int(m), prop_h
             if (h, n) != power_hn:
                 if h != prop_h:  # one-step propagators of the block
-                    hR = R * h
-                    prop_h, prop = h, _taylor16(hR) if method == "exact-dense" else \
-                        eye + hR @ (eye + hR @ (eye + hR @ (eye + hR / 4.0) / 3.0) / 2.0)
+                    prop_h, prop = h, _taylor(R * h, degree)
                 last_h, last_n = power_hn or (None, 1)
                 base, e = (power, n // last_n) if h == last_h and n % last_n == 0 else (prop, n)
                 power_hn, power = (h, n), _power(base, e)
@@ -193,16 +192,17 @@ def _march(f, xi, grid: VelocityGrid, method: str, stops, dt, out) -> None:
     out[stops == 0.0] = f  # no basis roundtrip at t = 0
 
 
-def _taylor16(X) -> np.ndarray:
-    """sum_k X^k / k!, k <= 16, for a stack X (..., N, N): exp(X) to double
+def _taylor(X, degree: int) -> np.ndarray:
+    """sum_k X^k / k!, k <= degree (a multiple of 4), for a stack X (..., N, N):
+    at degree 4 one classical RK4 step of X = hR, at 16 exp(X) to double
     precision where ||X||_1 <= THETA.  Paterson-Stockmeyer: X^2, X^3, X^4, then
-    Horner in X^4 over blocks of degree 3, six products and no solve."""
+    Horner in X^4 over blocks of degree 3, degree/4 + 2 products and no solve."""
     X2 = X @ X
     powers = (X, X2, X2 @ X)  # X^1, X^2, X^3
     X4 = X2 @ X2
     diag = np.arange(X.shape[-1])
-    P = _TAYLOR[16] * X4
-    for j in (12, 8, 4, 0):
+    P = _TAYLOR[degree] * X4
+    for j in range(degree - 4, -1, -4):
         for i, Xp in enumerate(powers, start=1):
             P += _TAYLOR[j + i] * Xp
         P[..., diag, diag] += _TAYLOR[j]  # the identity term: a full eye add costs a product

@@ -37,7 +37,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .quadrature import SQRT_PI, adaptive_phi_integral
+from .quadrature import SQRT_PI, VelocityGrid, adaptive_phi_integral
 
 BAND_EDGE = SQRT_PI
 DEFAULT_XI_MIN = 1e-6
@@ -383,21 +383,18 @@ def c_of_xi(xi, *, xi_min: float = DEFAULT_XI_MIN,
     return c if c.ndim else float(c)
 
 
-def transfer_function(table, grid) -> np.ndarray:
+def transfer_function(table, grid: VelocityGrid) -> np.ndarray:
     """Eigenvector 1/(b + i xi v); lifts density to the kinetic state.
 
-    Broadcasts over the rows of ``table`` (a DispersionTable; one row,
-    ``build_table([xi])``, for a single frequency) and the velocities of
-    ``grid`` (a VelocityGrid or values v): shape ``(len(table),) + v.shape``.
-    The denominator never vanishes (b > 0, v real).  Its defining
-    identities, integral against phi equal to one and first moment equal
-    to a*i, hold at the grid level only as accurately as the quadrature
-    resolves the pole at distance c from the real axis; see the README
-    accuracy table.
+    One row per row of ``table`` (a DispersionTable; one row,
+    ``build_table([xi])``, for a single frequency) over the nodes of
+    ``grid``: shape ``(len(table), grid.order)``.  The denominator never
+    vanishes (b > 0, v real).  Its defining identities, integral against phi
+    equal to one and first moment equal to a*i, hold at the grid level only
+    as accurately as the quadrature resolves the pole at distance c from the
+    real axis; see the README accuracy table.
     """
-    v = np.asarray(getattr(grid, "nodes", grid))
-    lead = (...,) + (None,) * v.ndim
-    return 1.0 / (table.b[lead] + 1j * table.xi[lead] * v)
+    return 1.0 / (table.b[:, None] + 1j * table.xi[:, None] * grid.nodes)
 
 
 @dataclass(frozen=True)

@@ -186,10 +186,6 @@ class KineticStateSpectral:
             raise ValueError("f_hat must have shape (len(xi_grid), grid order)")
         self.f_hat.setflags(write=False)
 
-    @property
-    def dxi(self) -> float:
-        return float(self.xi_grid[1] - self.xi_grid[0])
-
     def density(self) -> np.ndarray:
         """Per-mode density <f_hat(xi, .), 1>_phi."""
         return self.f_hat @ self.grid.weights

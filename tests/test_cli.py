@@ -436,6 +436,14 @@ def test_compare_nan_time_is_a_config_error(tmp_path):
     assert not (tmp_path / "compare.json").exists()
 
 
+def test_compare_empty_times_is_a_config_error(tmp_path, capsys):
+    # used to say "times must be nonnegative" of a list with no time in it
+    assert run(["compare", *FAST, "--times", ",", "--out", tmp_path]) == 2
+    err = capsys.readouterr().err
+    assert "empty" in err and "nonnegative" not in err
+    assert not (tmp_path / "compare.json").exists()
+
+
 def test_build_gds_infinite_time_is_a_config_error(tmp_path):
     # used to exit 0 and write fields_tinf.csv / spectral_tinf.csv
     assert run(["build-gds", *FAST, "--times", "inf", "--out", tmp_path]) == 2

@@ -6,7 +6,7 @@ import pytest
 from scipy import linalg
 
 from kinrelax.diagnostics import distance_to_ray
-from kinrelax import dispersion, quadrature
+from kinrelax import direct, dispersion, quadrature
 from kinrelax.direct import (ModeOperator, _parity_generator, _power, default_rk4_dt,
                              evolve_mode, from_parity, propagate, rk4_stability_limit,
                              to_parity)
@@ -217,15 +217,18 @@ def test_block_step_above_any_mode_stability_limit_rejected(grid):
 
 
 def test_default_rk4_step_is_the_smallest_of_the_block(grid):
-    # a block steps at its tightest mode's default, so every mode of it
-    # matches a per-mode run at that same step
+    # a block steps at most at its tightest mode's default, the span halved
+    # until it fits, so each mode matches a per-mode run at that same step
     rng = np.random.default_rng(11)
     xi = np.array([0.1, 0.9])
     f0 = rng.standard_normal((2, 64)) + 1j * rng.standard_normal((2, 64))
     block = propagate(f0, xi, grid, [0.5], method="rk4")
-    slow = propagate(f0[:1], xi[:1], grid, [0.5], method="rk4",
-                     dt=default_rk4_dt(0.9, grid))
-    assert np.max(np.abs(block[0, 0] - slow[0, 0])) < 1e-13 * np.max(np.abs(slow))
+    h = 0.5 / 2 ** math.ceil(math.log2(0.5 / default_rk4_dt(0.9, grid)))
+    assert h <= default_rk4_dt(0.9, grid) < 2.0 * h
+    tight = propagate(f0[1:], xi[1:], grid, [0.5], method="rk4")
+    slow = propagate(f0[:1], xi[:1], grid, [0.5], method="rk4", dt=h)
+    for got, ref in ((block[0, 1], tight[0, 0]), (block[0, 0], slow[0, 0])):
+        assert np.max(np.abs(got - ref)) < 1e-13 * np.max(np.abs(ref))
 
 
 def test_mode_operator_stack_matches_per_row_operators(grid):
@@ -308,14 +311,25 @@ def _rk4_stage_step(op, f, h):
     return f + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
-def _stepped_reference(f, xi, grid, stops, method, dt):
+def _stepped_reference(f, xi, grid, stops, method, dt=None):
     """States at the sorted stops by one step at a time: RK4 stages, or one
-    expm(hA) matvec per step, over propagate's span rule for n and h."""
+    expm(hA) matvec per step, over propagate's span rule for n and h.  With dt
+    a span is the fewest equal steps no longer than dt; RK4 without dt halves
+    it to the smallest default step of the block, or keeps the last h when the
+    span is a whole number of it in no more steps."""
     op = ModeOperator(xi=xi, grid=grid)
-    out = []
+    bound = float(np.min(default_rk4_dt(xi, grid)))
+    out, h_last = [], None
     for span in np.diff(stops, prepend=0.0):
-        n = max(1, math.ceil(span / dt - 1e-9)) if span > 0.0 else 0
-        h = dt if abs(n * dt - span) <= 1e-9 * span else span / n
+        n, h = 0, 0.0
+        if span > 0.0 and dt:
+            n = max(1, math.ceil(span / dt - 1e-9))
+            h = dt if abs(n * dt - span) <= 1e-9 * span else span / n
+        elif span > 0.0:
+            n = 2 ** max(0, math.ceil(math.log2(span / bound)))
+            m = span / h_last if h_last else math.inf
+            n, h = (int(m), h_last) if m <= n and m.is_integer() else (n, span / n)
+            h_last = h
         prop = linalg.expm(nodal_generator(op) * h) if method == "exact-dense" else None
         for _ in range(n):
             f = _rk4_stage_step(op, f, h) if method == "rk4" else (prop @ f[..., None])[..., 0]
@@ -331,8 +345,7 @@ def test_propagator_powers_match_step_by_step_reference(grid, method, dt):
     f0 = rng.standard_normal((3, 64)) + 1j * rng.standard_normal((3, 64))
     stops = np.array([0.3, 0.5, 1.7])
     got = propagate(f0, xi, grid, stops, method=method, dt=dt)
-    ref = _stepped_reference(f0, xi, grid, stops, method,
-                             dt or float(np.min(default_rk4_dt(xi, grid))))
+    ref = _stepped_reference(f0, xi, grid, stops, method, dt)
     scale = np.max(np.abs(ref), axis=-1, keepdims=True)
     assert np.max(np.abs(got - ref) / scale) < 1e-12
 
@@ -343,6 +356,24 @@ def test_one_rk4_step_is_the_stage_update(grid):
     h = default_rk4_dt(0.9, grid)
     ref = _rk4_stage_step(ModeOperator(xi=0.9, grid=grid), f, h)
     assert np.max(np.abs(one_step(f, 0.9, grid, h, "rk4") - ref)) < 1e-14 * np.max(np.abs(ref))
+
+
+def test_one_taylor_polynomial_per_step_size(grid, monkeypatch):
+    # 8 modes to 0.5, 1, 2, 5: RK4 halves the spans 0.5, 0.5 and 1 to one h,
+    # and only the span 3 needs a second; the exact path keeps one h throughout
+    builds, taylor = [], direct._taylor
+
+    def counted(X, degree):
+        builds.append(degree)
+        return taylor(X, degree)
+
+    monkeypatch.setattr(direct, "_taylor", counted)
+    xi = 0.9 * np.arange(1, 9) / 8
+    f0 = transfer_function(build_table(xi), grid)
+    for method, expected in (("rk4", [4, 4]), ("exact-dense", [16])):
+        builds.clear()
+        propagate(f0, xi, grid, [0.5, 1.0, 2.0, 5.0], method=method)
+        assert builds == expected, method
 
 
 @pytest.mark.parametrize("order", [2, 7, 64])
@@ -371,8 +402,7 @@ def test_parity_paths_match_the_nodal_generator(order, method, dt):
     stops = np.array([0.0, 0.3, 1.0])
     got = propagate(f0, xi, grid, stops, method=method, dt=dt)
     if method == "rk4":
-        ref = _stepped_reference(f0, xi, grid, stops, method,
-                                 float(np.min(default_rk4_dt(xi, grid))))
+        ref = _stepped_reference(f0, xi, grid, stops, method)
     else:
         A = nodal_generator(ModeOperator(xi=xi, grid=grid))
         ref = np.array([(linalg.expm(t * A) @ f0[..., None])[..., 0] for t in stops])
