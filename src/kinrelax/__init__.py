@@ -25,7 +25,7 @@ from .gds import (DEFAULT_TRUNCATION, FieldSnapshot, KineticStateSpectral,
                   SpectralDensity, evolve_density, lift_to_kinetic,
                   make_band_limited_density, to_physical)
 from .diagnostics import (ResidualReport, Tolerances, compare_gds_direct,
-                          continuity_residual, fit_convergence_order, pide_residual,
+                          continuity_residual, fit_convergence_order,
                           spectral_continuity_residual)
 
 __all__ = [
@@ -41,5 +41,5 @@ __all__ = [
     "DEFAULT_TRUNCATION", "FieldSnapshot", "KineticStateSpectral", "SpectralDensity",
     "evolve_density", "lift_to_kinetic", "make_band_limited_density", "to_physical",
     "ResidualReport", "Tolerances", "compare_gds_direct", "continuity_residual",
-    "fit_convergence_order", "pide_residual", "spectral_continuity_residual",
+    "fit_convergence_order", "spectral_continuity_residual",
 ]

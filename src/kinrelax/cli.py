@@ -23,15 +23,15 @@ from pathlib import Path
 import numpy as np
 from numpy.random import default_rng
 
-from . import __version__
+from . import __version__, artifacts
 from .collision import (apply_collision, check_mass_conservation,
                         check_negative_semidefinite, check_self_adjoint,
                         collision_matrix, operator_norm_bound_check)
 from .diagnostics import (Tolerances, compare_gds_direct, direct_unit_modes,
                           spectral_continuity_residual)
 from .direct import ModeOperator, output_times
-from .dispersion import (SQRT_PI, build_table, c_of_xi, render_each, transfer_function,
-                         write_rows, xi_of_c, xi_of_c_quadrature)
+from .dispersion import (SQRT_PI, build_table, c_of_xi, transfer_function, xi_of_c,
+                         xi_of_c_quadrature)
 from .gds import (PROFILE_NAMES, evolve_density, lift_to_kinetic,
                   make_band_limited_density, to_physical)
 from .quadrature import build_grid, gaussian_moment, moment
@@ -176,15 +176,13 @@ class RunConfig:
 
 
 def write_csv(path: Path, columns, rows, config: RunConfig, extra_meta=()) -> None:
-    with open(path, "w") as fh:
-        write_rows(fh, [f"# kinrelax {__version__}", f"# config-hash: {config.hash()}",
-                        *(f"# {item}" for item in extra_meta), ",".join(columns)], rows)
+    artifacts.write_csv(path, [f"kinrelax {__version__}", f"config-hash: {config.hash()}",
+                               *extra_meta], columns, rows)
 
 
 def write_json(path: Path, payload: dict, config: RunConfig) -> None:
-    doc = {"artifact": f"kinrelax {__version__}", "config_hash": config.hash(),
-           **payload}
-    path.write_text(json.dumps(doc, indent=2, sort_keys=True, default=float) + "\n")
+    artifacts.write_json(path, {"artifact": f"kinrelax {__version__}",
+                                "config_hash": config.hash(), **payload})
 
 
 def _make_profile(config: RunConfig):
@@ -265,7 +263,7 @@ def cmd_solve_direct(config: RunConfig, out: Path) -> int:
     active = rho0.active_indices()
     d = (rho0.rho_hat[active] * unit).T  # (modes, times)
     rows = np.stack([np.broadcast_to(times, d.shape), d.real, d.imag, dist.T], axis=-1)
-    for xi, text in zip(rho0.xi_grid[active].tolist(), render_each(rows)):
+    for xi, text in zip(rho0.xi_grid[active].tolist(), artifacts.render_each(rows)):
         write_csv(traj_dir / f"mode_{_tag(xi)}.csv",
                   ("t", "re_rho_hat", "im_rho_hat", "gds_distance"), text, config,
                   extra_meta=(f"xi={xi:.17g}", f"method={config.solver_method}"))

@@ -15,9 +15,9 @@ import numpy as np
 from numpy.fft import fft, fftfreq, ifft
 
 from .dispersion import DispersionTable, transfer_function
-from .direct import BLOCK, ModeOperator, propagate
-from .gds import FieldSnapshot, KineticStateSpectral, SpectralDensity
-from .quadrature import VelocityGrid, norm_phi
+from .direct import BLOCK, propagate
+from .gds import FieldSnapshot, SpectralDensity
+from .quadrature import VelocityGrid
 
 
 @dataclass(frozen=True)
@@ -133,30 +133,6 @@ def spectral_continuity_residual(rho: SpectralDensity, table: DispersionTable,
         tolerance=tolerance,
         metadata={"active_modes": int(len(idx))},
     )
-
-
-def pide_residual(state: KineticStateSpectral, table: DispersionTable,
-                  mode: str = "analytic", dt_probe: float = 1e-4) -> float:
-    """Max over active modes of ||df/dt + (1 + i xi v) f_hat - rho_hat||_phi.
-
-    'analytic' takes df/dt = lam*f_hat, exact for the solution class, so
-    the residual is roundoff plus the quadrature drift of the recomputed
-    density.  'fd' replaces lam by a centered difference of the
-    exponential propagator at step dt_probe, adding an O(dt_probe^2)
-    term; the two modes separate algebra errors from discretization.
-    """
-    if mode not in ("analytic", "fd"):
-        raise ValueError(f"unknown residual mode {mode!r}; use 'analytic' or 'fd'")
-    if mode == "fd" and dt_probe <= 0:
-        raise ValueError("dt_probe must be positive")
-    idx = np.nonzero(np.any(state.f_hat, axis=1))[0]
-    xi = state.xi_grid[idx]
-    lam = table.lam[table.index_of(xi)][:, None]
-    f = state.f_hat[idx]
-    if mode == "fd":
-        lam = (np.exp(lam * dt_probe) - np.exp(-lam * dt_probe)) / (2.0 * dt_probe)
-    r = lam * f - ModeOperator(xi=xi, grid=state.grid).apply(f)
-    return float(np.max(norm_phi(r, state.grid), initial=0.0))
 
 
 def distance_to_ray(states, K, grid: VelocityGrid) -> np.ndarray:

@@ -134,7 +134,8 @@ def propagate(f0, xi, grid: VelocityGrid, times, method: str = "exact-dense",
         else:
             degree, bound = 16, THETA / float(np.max(np.abs(R).sum(axis=-2)))
         if h is not None and not math.isfinite(float(np.max(stops, initial=0.0)) / h):
-            raise ValueError(f"the step count {np.max(stops):g} / dt={h:g} is not finite")
+            step = f"dt={h:g}" if dt else f"the RK4 default step {h:g}"
+            raise ValueError(f"the step count {np.max(stops):g} / {step} is not finite")
         _march(f0[blk], R, grid, degree, bound, stops, dt, out[:, blk])
     return out if np.array_equal(stops, times) else out[order]
 
@@ -162,8 +163,9 @@ def _march(f, R, grid: VelocityGrid, degree: int, bound: float, stops, dt, out) 
     """Advance one block from t=0 through the sorted stops into out[k], in parity
     coordinates, where A_xi is R (``_parity_generator``): n steps h, no longer
     than bound, are one matvec by P(h)^n, P the degree-``degree`` Taylor
-    polynomial of exp(hR), made once per h.  Without dt a span that is a whole
-    number of the last step h, in no more steps than its own 2^s, keeps that h;
+    polynomial of exp(hR), made once per h.  Without dt a span that is j steps
+    of the last h, to 4 ulps of its stop (spans are rounded differences of
+    stops), in no more steps than its own n, keeps that h;
     and P^n is a power of the last power P^n' of the same h when n' divides n
     (spans 0.5, 0.5, 1, 3: P^8, then P^16 and P^48 by three more products)."""
     y, log_bound = to_parity(f, grid), math.log2(bound)  # so s never overflows
@@ -177,8 +179,9 @@ def _march(f, R, grid: VelocityGrid, degree: int, bound: float, stops, dt, out) 
             s = max(0, math.ceil(math.log2(h) - log_bound))
             n, h = n << s, math.ldexp(h, -s)
             m = span / prop_h if prop_h and not dt else math.inf
-            if m <= n and m.is_integer():  # no more steps of the last h: keep it
-                n, h = int(m), prop_h
+            j = round(m) if m < n + 1 else 0  # no more steps of the last h: keep it
+            if 1 <= j <= n and abs(span - j * prop_h) <= 4.0 * np.spacing(stops[k]):
+                n, h = j, prop_h
             if (h, n) != power_hn:
                 if h != prop_h:  # one-step propagators of the block
                     prop_h, prop = h, _taylor(R * h, degree)

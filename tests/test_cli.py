@@ -6,14 +6,15 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from kinrelax import __version__, cli, dispersion
+from kinrelax import __version__, artifacts, cli
+from kinrelax.artifacts import CHUNK_ROWS
 from kinrelax.cli import (DEFAULT_CONFIG, REFERENCE_CURVE_XI, ConfigError, RunConfig,
                           _property_rows, main, write_csv)
 from kinrelax.collision import (apply_collision, check_mass_conservation,
                                 check_negative_semidefinite, check_self_adjoint)
 from kinrelax.diagnostics import direct_unit_modes
 from kinrelax.direct import output_times
-from kinrelax.dispersion import CHUNK_ROWS, build_table
+from kinrelax.dispersion import build_table
 from kinrelax.gds import (evolve_density, lift_to_kinetic, make_band_limited_density,
                           to_physical)
 from kinrelax.quadrature import SQRT_PI, build_grid, norm_phi
@@ -195,12 +196,12 @@ def test_cmd_solve_direct(tmp_path):
     assert data[0, 0] == 0.0 and data[-1, 0] == 5.0
 
 
-@pytest.mark.parametrize("chunk", [dispersion.CHUNK_VALUES, 7])
+@pytest.mark.parametrize("chunk", [artifacts.CHUNK_VALUES, 7])
 def test_solve_direct_files_hold_their_own_modes_rows(tmp_path, monkeypatch, chunk):
     # the trajectories share one formatter pass; at 7 values a pass, with no small
     # path, each file takes many passes and its rows straddle them
-    monkeypatch.setattr(dispersion, "CHUNK_VALUES", chunk)
-    monkeypatch.setattr(dispersion, "SMALL_VALUES", 0)
+    monkeypatch.setattr(artifacts, "CHUNK_VALUES", chunk)
+    monkeypatch.setattr(artifacts, "SMALL_VALUES", 0)
     config = RunConfig.from_dict({"modes": 6, "xi_max": 0.6, "n_velocity": 16})
     out = tmp_path / "o"
     assert cli.cmd_solve_direct(config, out) == 0
@@ -487,7 +488,9 @@ def test_rk4_compare_with_uncountable_steps_is_a_config_error(tmp_path, capsys):
     # span / dt overflowed to inf inside math.ceil: an OverflowError traceback
     assert run(["compare", *FAST, "--method", "rk4", "--times", "1e308",
                 "--out", tmp_path]) == 2
-    assert "not finite" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    # compare sets no dt: the step is the RK4 default, which the message used to call dt
+    assert "not finite" in err and "the RK4 default step" in err and "dt=" not in err
 
 
 def test_rk4_compare_past_full_underflow_passes(tmp_path):

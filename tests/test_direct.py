@@ -316,19 +316,20 @@ def _stepped_reference(f, xi, grid, stops, method, dt=None):
     expm(hA) matvec per step, over propagate's span rule for n and h.  With dt
     a span is the fewest equal steps no longer than dt; RK4 without dt halves
     it to the smallest default step of the block, or keeps the last h when the
-    span is a whole number of it in no more steps."""
+    span is, to 4 ulps of its stop, a whole number of it in no more steps."""
     op = ModeOperator(xi=xi, grid=grid)
     bound = float(np.min(default_rk4_dt(xi, grid)))
     out, h_last = [], None
-    for span in np.diff(stops, prepend=0.0):
+    for stop, span in zip(stops, np.diff(stops, prepend=0.0)):
         n, h = 0, 0.0
         if span > 0.0 and dt:
             n = max(1, math.ceil(span / dt - 1e-9))
             h = dt if abs(n * dt - span) <= 1e-9 * span else span / n
         elif span > 0.0:
             n = 2 ** max(0, math.ceil(math.log2(span / bound)))
-            m = span / h_last if h_last else math.inf
-            n, h = (int(m), h_last) if m <= n and m.is_integer() else (n, span / n)
+            j = round(span / h_last) if h_last else 0
+            keep = 1 <= j <= n and abs(span - j * h_last) <= 4.0 * np.spacing(stop)
+            n, h = (j, h_last) if keep else (n, span / n)
             h_last = h
         prop = linalg.expm(nodal_generator(op) * h) if method == "exact-dense" else None
         for _ in range(n):
@@ -358,22 +359,37 @@ def test_one_rk4_step_is_the_stage_update(grid):
     assert np.max(np.abs(one_step(f, 0.9, grid, h, "rk4") - ref)) < 1e-14 * np.max(np.abs(ref))
 
 
+def _taylor_builds(monkeypatch, grid, times):
+    """The states of 8 modes at ``times`` by each method, and the degrees of the
+    Taylor polynomials it built."""
+    builds, taylor = [], direct._taylor
+    monkeypatch.setattr(direct, "_taylor", lambda X, degree: builds.append(degree)
+                        or taylor(X, degree))
+    xi = 0.9 * np.arange(1, 9) / 8
+    f0 = transfer_function(build_table(xi), grid)
+    found = {}
+    for method in ("rk4", "exact-dense"):
+        builds.clear()
+        found[method] = propagate(f0, xi, grid, times, method=method), list(builds)
+    return found, lambda t: propagate(f0, xi, grid, [t])[0]
+
+
 def test_one_taylor_polynomial_per_step_size(grid, monkeypatch):
     # 8 modes to 0.5, 1, 2, 5: RK4 halves the spans 0.5, 0.5 and 1 to one h,
     # and only the span 3 needs a second; the exact path keeps one h throughout
-    builds, taylor = [], direct._taylor
+    found, _ = _taylor_builds(monkeypatch, grid, [0.5, 1.0, 2.0, 5.0])
+    assert [builds for _, builds in found.values()] == [[4, 4], [16]]
 
-    def counted(X, degree):
-        builds.append(degree)
-        return taylor(X, degree)
 
-    monkeypatch.setattr(direct, "_taylor", counted)
-    xi = 0.9 * np.arange(1, 9) / 8
-    f0 = transfer_function(build_table(xi), grid)
-    for method, expected in (("rk4", [4, 4]), ("exact-dense", [16])):
-        builds.clear()
-        propagate(f0, xi, grid, [0.5, 1.0, 2.0, 5.0], method=method)
-        assert builds == expected, method
+def test_rounded_spans_keep_the_step(grid, monkeypatch):
+    # 0.1, 0.2, ..., 5.0 as the CLI parses them: the spans are 0.1 only to a few
+    # ulps of their stops, and each used to build its own polynomial (32 a method)
+    times = np.arange(1, 51) / 10
+    found, alone = _taylor_builds(monkeypatch, grid, times)
+    assert [builds for _, builds in found.values()] == [[4], [16]]
+    states = found["exact-dense"][0]
+    for t, state in zip(times[::7], states[::7]):  # the kept steps land on the stops
+        assert np.max(np.abs(state - alone(t))) <= 1e-13 * np.max(np.abs(state))
 
 
 @pytest.mark.parametrize("order", [2, 7, 64])

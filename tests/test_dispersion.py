@@ -1,6 +1,6 @@
-import io
 import json
 import math
+import os
 import re
 import warnings
 
@@ -11,12 +11,12 @@ import scipy.special
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from kinrelax import dispersion, quadrature
-from kinrelax.dispersion import (_ERFCX_Q, CHUNK_ROWS, CHUNK_VALUES, DEFAULT_EDGE_MARGIN,
-                                 DEFAULT_XI_MIN, SMALL_VALUES, TABLE_FORMAT_VERSION,
-                                 XI_RESIDUAL_TOL, DispersionTable, UnsupportedFrequencyError,
-                                 build_table, c_of_xi, erfcx, render_each, transfer_function,
-                                 write_rows, xi_of_c, xi_of_c_quadrature)
+from kinrelax import artifacts, dispersion, quadrature
+from kinrelax.artifacts import CHUNK_ROWS, CHUNK_VALUES, SMALL_VALUES, render_each, write_csv
+from kinrelax.dispersion import (_ERFCX_Q, DEFAULT_EDGE_MARGIN, DEFAULT_XI_MIN,
+                                 TABLE_FORMAT_VERSION, XI_RESIDUAL_TOL, DispersionTable,
+                                 UnsupportedFrequencyError, build_table, c_of_xi, erfcx,
+                                 transfer_function, xi_of_c, xi_of_c_quadrature)
 from kinrelax.quadrature import SQRT_PI, build_grid
 
 
@@ -242,10 +242,11 @@ def test_array_inversion_rejects_out_of_band_element():
         c_of_xi(np.array([0.3, 2.0, 0.0]))
 
 
-def test_array_inversion_checks_every_residual():
+def test_array_inversion_checks_every_residual(monkeypatch):
     # a negative tolerance no residual can meet exercises the per-element check
+    monkeypatch.setattr(dispersion, "XI_RESIDUAL_TOL", -1.0)
     with pytest.raises(ArithmeticError, match="xi=0.3"):
-        c_of_xi(np.array([0.3, 0.5]), residual_tol=-1.0)
+        c_of_xi(np.array([0.3, 0.5]))
 
 
 def test_monotone_decreasing_inverse():
@@ -561,12 +562,12 @@ def test_formatter_is_percent_g_byte_for_byte(name):
     values = np.concatenate([FORMATTER_INPUTS[name], -FORMATTER_INPUTS[name]])
     for start in range(0, len(values), CHUNK_VALUES):  # the numpy pass at any length
         chunk = values[start:start + CHUNK_VALUES]
-        text = dispersion._format_pass(chunk, np.ones(len(chunk), bool))
+        text = artifacts._format_pass(chunk, np.ones(len(chunk), bool))
         assert text == _percent_g_lines(chunk[:, None])
 
 
 @pytest.mark.parametrize("ncols", [1, 4, 65])
-def test_writer_rows_are_exact_across_every_chunk_boundary(ncols):
+def test_writer_rows_are_exact_across_every_chunk_boundary(tmp_path, ncols):
     rng = np.random.default_rng(ncols)
     for size in (SMALL_VALUES - 1, SMALL_VALUES, CHUNK_VALUES - 1, CHUNK_VALUES, CHUNK_VALUES + 1,
                  3 * CHUNK_VALUES + 5):
@@ -575,23 +576,22 @@ def test_writer_rows_are_exact_across_every_chunk_boundary(ncols):
         flat = rows.reshape(-1)  # fallback values on each side of each boundary
         for boundary in range(CHUNK_VALUES, flat.size, CHUNK_VALUES):
             flat[boundary - 2:boundary + 1] = (2.0**-25, math.nan, 4000000000000001 / 4)
-        fh = io.StringIO()
-        write_rows(fh, ["# head", "c"], rows)
-        assert fh.getvalue() == "# head\nc\n" + _percent_g_lines(rows)
+        write_csv(tmp_path / "rows.csv", ["head"], ["c"], rows)
+        assert (tmp_path / "rows.csv").read_text() == "# head\nc\n" + _percent_g_lines(rows)
 
 
 def test_formatter_passes_stay_within_the_chunk_bound(monkeypatch):
     # a pass holds about 300 bytes of scratch per value, so one pass over a whole
     # artifact would add megabytes to the peak resident size
-    sizes, real = [], dispersion._format_pass
-    monkeypatch.setattr(dispersion, "_format_pass",
+    sizes, real = [], artifacts._format_pass
+    monkeypatch.setattr(artifacts, "_format_pass",
                         lambda values, ends: sizes.append(len(values)) or real(values, ends))
     rng = np.random.default_rng(3)
-    write_rows(io.StringIO(), [], rng.standard_normal((17, 3)))  # properties.csv: one "%"
+    write_csv(os.devnull, [], [], rng.standard_normal((17, 3)))  # properties.csv: one "%"
     assert sizes == []
     for shape in [(3000, 65), (13000, 4)]:
         sizes.clear()
-        write_rows(io.StringIO(), [], rng.standard_normal(shape))
+        write_csv(os.devnull, [], [], rng.standard_normal(shape))
         assert sum(sizes) == shape[0] * shape[1] and max(sizes) <= CHUNK_VALUES
     sizes.clear()  # solve-direct at defaults: 256 trajectories of 51 rows share passes
     texts = render_each(rng.standard_normal((256, 51, 4)))

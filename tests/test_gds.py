@@ -3,10 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from kinrelax.diagnostics import pide_residual
 from kinrelax.dispersion import build_table, transfer_function
-from kinrelax.gds import (KineticStateSpectral, SpectralDensity,
-                          evolve_density, lift_to_kinetic,
+from kinrelax.gds import (SpectralDensity, evolve_density, lift_to_kinetic,
                           make_band_limited_density, to_physical)
 from kinrelax.quadrature import SQRT_PI, build_grid
 
@@ -271,45 +269,3 @@ def test_lift_rows_match_per_mode_transfer_functions(grid):
         assert np.array_equal(state.f_hat[i],
                               transfer_function(point, grid)[0] * rho0.rho_hat[i])
     assert not np.any(np.delete(state.f_hat, rho0.active_indices(), axis=0))
-
-
-# -------------------------------------------------------------- residual
-
-def test_pide_residual_analytic(grid):
-    rho0, table = small_setup(xi_max=0.6, modes=12)
-    state = lift_to_kinetic(rho0, table, grid)
-    assert pide_residual(state, table) < 1e-10
-    # wider band: quadrature drift grows but stays within the contract
-    rho_w, table_w = small_setup(xi_max=0.75, modes=15)
-    state_w = lift_to_kinetic(rho_w, table_w, grid)
-    assert pide_residual(state_w, table_w) < 1e-8
-
-
-def test_pide_residual_zero_state(grid):
-    xi = np.linspace(-1.0, 1.0, 5)
-    rho = SpectralDensity(xi_grid=xi, rho_hat=np.zeros(5, dtype=complex))
-    state = lift_to_kinetic(rho, build_table([0.5]), grid)
-    assert pide_residual(state, build_table([0.5])) == 0.0
-
-
-def test_pide_residual_detects_perturbation(grid):
-    rho0, table = small_setup(xi_max=0.6, modes=12)
-    state = lift_to_kinetic(rho0, table, grid)
-    rng = np.random.default_rng(8)
-    f_hat = state.f_hat.copy()
-    idx = rho0.active_indices()  # perturb within the admissible band only
-    f_hat[idx] += 1e-3 * (rng.standard_normal((len(idx), grid.order))
-                          + 1j * rng.standard_normal((len(idx), grid.order)))
-    noisy = KineticStateSpectral(xi_grid=state.xi_grid, f_hat=f_hat,
-                                 grid=grid, time=state.time)
-    r = pide_residual(noisy, table)
-    assert 1e-4 < r < 1e-1  # comparable to the injected noise magnitude
-
-
-def test_pide_residual_fd_mode_second_order(grid):
-    rho0, table = small_setup(xi_max=0.6, modes=12)
-    state = lift_to_kinetic(rho0, table, grid)
-    r1 = pide_residual(state, table, mode="fd", dt_probe=1e-3)
-    r2 = pide_residual(state, table, mode="fd", dt_probe=5e-4)
-    assert 3.2 < r1 / r2 < 4.8
-    assert pide_residual(state, table, mode="fd", dt_probe=1e-6) < 1e-10

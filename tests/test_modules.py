@@ -5,7 +5,8 @@ imports only ``quadrature``, ``gds`` does not import ``direct``, and of the
 library modules only ``diagnostics`` and ``cli`` import both the
 construction (``dispersion``, ``gds``) and the oracle (``direct``).  The
 runtime needs numpy alone: no module imports scipy, and a command imports
-nothing the CLI did not import at start-up.
+nothing the CLI did not import at start-up.  ``artifacts``, which imports no
+module of the package, is the only one that opens a file for writing.
 """
 
 import ast
@@ -22,14 +23,15 @@ SRC = Path(kinrelax.__file__).parent
 
 EDGES = {
     "__init__": {"quadrature", "collision", "dispersion", "direct", "gds", "diagnostics"},
+    "artifacts": set(),
     "quadrature": set(),
     "collision": {"quadrature"},
-    "dispersion": {"quadrature"},
+    "dispersion": {"artifacts", "quadrature"},
     "direct": {"quadrature"},
     "gds": {"dispersion", "quadrature"},
     "diagnostics": {"dispersion", "direct", "gds", "quadrature"},
-    "cli": {"__init__", "collision", "diagnostics", "direct", "dispersion", "gds",
-            "quadrature"},
+    "cli": {"__init__", "artifacts", "collision", "diagnostics", "direct", "dispersion",
+            "gds", "quadrature"},
 }
 
 
@@ -69,6 +71,29 @@ def test_no_module_imports_scipy():
             else:
                 continue
             assert all(name.split(".")[0] != "scipy" for name in names), path.name
+
+
+def file_writes(path: Path) -> list:
+    """Lines of ``path`` that call write_text or write_bytes, or open (the builtin
+    or ``Path.open``) with a mode that writes or is not a literal."""
+    lines = []
+    for node in ast.walk(ast.parse(path.read_text())):
+        if not isinstance(node, ast.Call):
+            continue
+        builtin = isinstance(node.func, ast.Name)
+        name = node.func.id if builtin else getattr(node.func, "attr", None)
+        mode = [*node.args[int(builtin):][:1],  # open(path, mode), path.open(mode)
+                *(k.value for k in node.keywords if k.arg == "mode")]
+        if name in ("write_text", "write_bytes") or name == "open" and mode and (
+                not isinstance(mode[0], ast.Constant) or set(mode[0].value) & set("wax+")):
+            lines.append(node.lineno)
+    return lines
+
+
+def test_only_artifacts_writes_files():
+    found = {path.stem: file_writes(path) for path in sorted(SRC.glob("*.py"))}
+    assert found.pop("artifacts")
+    assert found == {name: [] for name in found}
 
 
 # Every command at small sizes, and the rk4 path of compare.
@@ -112,7 +137,7 @@ PUBLIC = {
     "DEFAULT_TRUNCATION", "FieldSnapshot", "KineticStateSpectral", "SpectralDensity",
     "evolve_density", "lift_to_kinetic", "make_band_limited_density", "to_physical",
     "ResidualReport", "Tolerances", "compare_gds_direct", "continuity_residual",
-    "fit_convergence_order", "pide_residual", "spectral_continuity_residual",
+    "fit_convergence_order", "spectral_continuity_residual",
 }
 
 
