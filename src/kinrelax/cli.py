@@ -30,8 +30,8 @@ from .collision import (apply_collision, check_mass_conservation,
 from .diagnostics import (Tolerances, compare_gds_direct, direct_unit_modes,
                           spectral_continuity_residual)
 from .direct import ModeOperator, output_times
-from .dispersion import (SQRT_PI, build_table, c_of_xi, transfer_function, xi_of_c,
-                         xi_of_c_quadrature)
+from .dispersion import (DEFAULT_EDGE_MARGIN, DEFAULT_XI_MIN, SQRT_PI, build_table,
+                         c_of_xi, transfer_function, xi_of_c, xi_of_c_quadrature)
 from .gds import (PROFILE_NAMES, evolve_density, lift_to_kinetic,
                   make_band_limited_density, to_physical)
 from .quadrature import build_grid, gaussian_moment, moment
@@ -42,7 +42,7 @@ REFERENCE_CURVE_XI = (1.4198, 1.17853, 0.998537, 0.860816, 0.753057,
                       0.667063, 0.597234, 0.539653, 0.491519, 0.450792)
 
 # Keyword parameters of make_band_limited_density a config profile may set.
-PROFILE_PARAMS = ("amplitude", "sigma", "center", "xi0", "time")
+PROFILE_PARAMS = ("amplitude", "sigma", "center", "xi0")
 
 
 class ConfigError(ValueError):
@@ -87,8 +87,8 @@ SCHEMA = {
     "method": ("exact", str),
     "seed": (1234, _int),
     "out": ("out", str),
-    "xi_min": (1e-6, float),
-    "edge_margin": (1e-6, float),
+    "xi_min": (DEFAULT_XI_MIN, float),
+    "edge_margin": (DEFAULT_EDGE_MARGIN, float),
     "dispersion_samples": (200, _int),
     "identity_band": (0.75, float),
     "identity_samples": (200, _int),
@@ -180,9 +180,12 @@ def write_csv(path: Path, columns, rows, config: RunConfig, extra_meta=()) -> No
                                *extra_meta], columns, rows)
 
 
+def _stamp(config: RunConfig) -> dict:
+    return {"artifact": f"kinrelax {__version__}", "config_hash": config.hash()}
+
+
 def write_json(path: Path, payload: dict, config: RunConfig) -> None:
-    artifacts.write_json(path, {"artifact": f"kinrelax {__version__}",
-                                "config_hash": config.hash(), **payload})
+    artifacts.write_json(path, {**_stamp(config), **payload})
 
 
 def _make_profile(config: RunConfig):
@@ -205,8 +208,7 @@ def cmd_dispersion(config: RunConfig, out: Path) -> int:
                          REFERENCE_CURVE_XI])
     table = build_table(np.concatenate([-xi, xi]), xi_min=config.xi_min,
                         edge_margin=config.edge_margin,
-                        metadata={"artifact": f"kinrelax {__version__}",
-                                  "config_hash": config.hash()})
+                        metadata=_stamp(config))
     bad = table.xi[~((table.lam > -1.0) & (table.lam < 0.0))].tolist()
     table.to_csv(out / "dispersion.csv")
     table.to_json(out / "dispersion.json")

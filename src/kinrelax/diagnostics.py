@@ -15,9 +15,13 @@ import numpy as np
 from numpy.fft import fft, fftfreq, ifft
 
 from .dispersion import DispersionTable, transfer_function
-from .direct import BLOCK, propagate
+from .direct import propagate
 from .gds import FieldSnapshot, SpectralDensity
 from .quadrature import VelocityGrid
+
+# Modes per ``propagate`` call: bounds the (BLOCK, N, N) propagators, powers and
+# states held at once, and each RK4 block steps within its own smallest default.
+BLOCK = 16
 
 
 @dataclass(frozen=True)

@@ -84,29 +84,30 @@ def default_rk4_dt(xi, grid: VelocityGrid):
 THETA = 0.75
 _TAYLOR = [1.0 / math.factorial(k) for k in range(17)]
 
-# Modes advanced together.  Bounds the (BLOCK, N, N) propagators and their
-# powers and the states a caller holds at once, and lets each RK4 block
-# step within the smallest default step of its own modes.
-BLOCK = 16
-
 
 def propagate(f0, xi, grid: VelocityGrid, times, method: str = "exact-dense",
               dt: float | None = None) -> np.ndarray:
     """States of modes f0 (modes, N) at xi (modes,), shape (len(times), modes, N).
 
-    Blocks of BLOCK modes make one pass through the sorted distinct times
-    (``times`` may be unsorted or repeated).  A method is a step bound and a
-    Taylor degree, and ``_march`` applies one span rule to both: each span
-    between outputs is the fewest equal steps no longer than dt ending on its
-    output time (one step without dt; a step within 1e-9 of dt is dt, so evenly
-    spaced outputs share one), then halved the fewest times s >= 0 that bring
-    a step h within the bound, and taken as one matrix power of the Taylor
-    polynomial of exp(hA).  'rk4' is degree 4, exactly one classical RK4 step,
-    bounded by dt or else the smallest ``default_rk4_dt`` of a block, which is
-    rejected above the stability bound of any of its modes.  'exact-dense',
-    the high-trust path, scales and squares: degree 16, bounded by ||hR||_1
-    <= THETA, where the series remainder lies below double precision.  A
-    step count that is not finite (times / dt overflows) raises ValueError.
+    The modes given advance as one block, so a caller passing more of them holds
+    a larger (modes, N, N) stack of propagators and powers, in one pass through
+    the sorted distinct times (``times`` may be unsorted or repeated) in parity
+    coordinates, where A_xi is R (``_parity_generator``).  A method is a step
+    bound and a Taylor degree under one span rule: each span between outputs is
+    the fewest equal steps no longer than dt ending on its output time (one step
+    without dt; a step within 1e-9 of dt is dt, so evenly spaced outputs share
+    one), halved the fewest times s >= 0 that bring a step h within the bound;
+    its n steps are one matvec by P(h)^n, P the Taylor polynomial of exp(hR),
+    made once per h.  Without dt a span that is j steps of the last h, to 4 ulps
+    of its stop (spans are rounded differences of stops), in no more steps than
+    its own n, keeps that h; P^n is a power of the last power P^n' of the same h
+    when n' divides n (spans 0.5, 0.5, 1, 3: P^8, then P^16 and P^48 by three
+    more products).  'rk4' is degree 4, one classical RK4 step, bounded by dt or
+    else the smallest ``default_rk4_dt`` of the modes, rejected above the
+    stability bound of any of them.  'exact-dense', the high-trust path, scales
+    and squares: degree 16, bounded by ||hR||_1 <= THETA, where the series
+    remainder lies below double precision.  A step count that is not finite
+    (times / dt overflows) raises ValueError.
     """
     xi = np.atleast_1d(np.asarray(xi, dtype=float))
     f0 = np.asarray(f0, dtype=complex)
@@ -120,23 +121,47 @@ def propagate(f0, xi, grid: VelocityGrid, times, method: str = "exact-dense",
         raise ValueError("times must be a 1D array of finite nonnegative instants")
     if method not in ("rk4", "exact-dense"):
         raise ValueError(f"unknown method {method!r}; use 'rk4' or 'exact-dense'")
+    if not len(xi):  # no modes: no step bound, nothing to advance
+        return np.empty((len(times),) + f0.shape, dtype=complex)
     stops, order = np.unique(times, return_inverse=True)
+    R, h = _parity_generator(xi, grid), dt
+    if method == "rk4":
+        h = h or float(np.min(default_rk4_dt(xi, grid)))
+        limit = float(np.min(rk4_stability_limit(xi, grid)))
+        if h > limit:
+            raise ValueError(f"dt={h:g} exceeds the RK4 stability bound {limit:g}")
+        degree, bound = 4, h
+    else:
+        degree, bound = 16, THETA / float(np.max(np.abs(R).sum(axis=-2)))
+    if h is not None and not math.isfinite(float(np.max(stops, initial=0.0)) / h):
+        step = f"dt={h:g}" if dt else f"the RK4 default step {h:g}"
+        raise ValueError(f"the step count {np.max(stops):g} / {step} is not finite")
     out = np.empty((len(stops),) + f0.shape, dtype=complex)
-    for lo in range(0, len(xi), BLOCK):
-        blk = slice(lo, lo + BLOCK)
-        R, h = _parity_generator(xi[blk], grid), dt
-        if method == "rk4":
-            h = h or float(np.min(default_rk4_dt(xi[blk], grid)))
-            limit = float(np.min(rk4_stability_limit(xi[blk], grid)))
-            if h > limit:
-                raise ValueError(f"dt={h:g} exceeds the RK4 stability bound {limit:g}")
-            degree, bound = 4, h
-        else:
-            degree, bound = 16, THETA / float(np.max(np.abs(R).sum(axis=-2)))
-        if h is not None and not math.isfinite(float(np.max(stops, initial=0.0)) / h):
-            step = f"dt={h:g}" if dt else f"the RK4 default step {h:g}"
-            raise ValueError(f"the step count {np.max(stops):g} / {step} is not finite")
-        _march(f0[blk], R, grid, degree, bound, stops, dt, out[:, blk])
+    y, log_bound = to_parity(f0, grid), math.log2(bound)  # so s never overflows
+    prop_h = power_hn = None
+    for k, span in enumerate(np.diff(stops, prepend=0.0)):
+        if span > 0.0:
+            n, h = 1, span
+            if dt:
+                n = max(1, math.ceil(span / dt - 1e-9))
+                h = dt if abs(n * dt - span) <= 1e-9 * span else span / n
+            s = max(0, math.ceil(math.log2(h) - log_bound))
+            n, h = n << s, math.ldexp(h, -s)
+            m = span / prop_h if prop_h and not dt else math.inf
+            j = round(m) if m < n + 1 else 0  # no more steps of the last h: keep it
+            if 1 <= j <= n and abs(span - j * prop_h) <= 4.0 * np.spacing(stops[k]):
+                n, h = j, prop_h
+            if (h, n) != power_hn:
+                if h != prop_h:  # one-step propagators of the modes
+                    prop_h, prop = h, _taylor(R * h, degree)
+                last_h, last_n = power_hn or (None, 1)
+                base, e = (power, n // last_n) if h == last_h and n % last_n == 0 else (prop, n)
+                power_hn, power = (h, n), _power(base, e)
+            # the real power acts on the real and imaginary parts at once
+            y = (power @ y.view(float).reshape(*y.shape, 2)).view(complex)[..., 0]
+        out[k] = y
+    out = from_parity(out, grid)
+    out[stops == 0.0] = f0  # no basis roundtrip at t = 0
     return out if np.array_equal(stops, times) else out[order]
 
 
@@ -157,42 +182,6 @@ def _parity_generator(xi, grid: VelocityGrid) -> np.ndarray:
     v, eye = grid.nodes, np.eye(grid.order)
     return (np.outer(v >= 0.0, grid.weights * (1.0 + np.sign(v))) - eye
             - np.multiply.outer(xi, v[:, None] * eye[::-1]))
-
-
-def _march(f, R, grid: VelocityGrid, degree: int, bound: float, stops, dt, out) -> None:
-    """Advance one block from t=0 through the sorted stops into out[k], in parity
-    coordinates, where A_xi is R (``_parity_generator``): n steps h, no longer
-    than bound, are one matvec by P(h)^n, P the degree-``degree`` Taylor
-    polynomial of exp(hR), made once per h.  Without dt a span that is j steps
-    of the last h, to 4 ulps of its stop (spans are rounded differences of
-    stops), in no more steps than its own n, keeps that h;
-    and P^n is a power of the last power P^n' of the same h when n' divides n
-    (spans 0.5, 0.5, 1, 3: P^8, then P^16 and P^48 by three more products)."""
-    y, log_bound = to_parity(f, grid), math.log2(bound)  # so s never overflows
-    prop_h = power_hn = None
-    for k, span in enumerate(np.diff(stops, prepend=0.0)):
-        if span > 0.0:
-            n, h = 1, span
-            if dt:
-                n = max(1, math.ceil(span / dt - 1e-9))
-                h = dt if abs(n * dt - span) <= 1e-9 * span else span / n
-            s = max(0, math.ceil(math.log2(h) - log_bound))
-            n, h = n << s, math.ldexp(h, -s)
-            m = span / prop_h if prop_h and not dt else math.inf
-            j = round(m) if m < n + 1 else 0  # no more steps of the last h: keep it
-            if 1 <= j <= n and abs(span - j * prop_h) <= 4.0 * np.spacing(stops[k]):
-                n, h = j, prop_h
-            if (h, n) != power_hn:
-                if h != prop_h:  # one-step propagators of the block
-                    prop_h, prop = h, _taylor(R * h, degree)
-                last_h, last_n = power_hn or (None, 1)
-                base, e = (power, n // last_n) if h == last_h and n % last_n == 0 else (prop, n)
-                power_hn, power = (h, n), _power(base, e)
-            # the real power acts on the real and imaginary parts at once
-            y = (power @ y.view(float).reshape(*y.shape, 2)).view(complex)[..., 0]
-        out[k] = y
-    out[:] = from_parity(out, grid)
-    out[stops == 0.0] = f  # no basis roundtrip at t = 0
 
 
 def _taylor(X, degree: int) -> np.ndarray:
@@ -241,14 +230,19 @@ class ModeTrajectory:
 
 
 def output_times(t_final: float, dt: float, output_stride: int = 1) -> np.ndarray:
-    """Recorded instants of a fixed-step run: every output_stride-th multiple
-    of dt from 0, plus t_final, which must be an integer multiple of dt."""
+    """Recorded instants of a fixed-step run, float64: every output_stride-th
+    multiple of dt from 0, plus t_final, which must be a positive integer
+    multiple of dt (a stride past the step count records 0 and t_final)."""
     if not dt > 0.0:
         raise ValueError("dt must be positive")
-    n_steps = int(round(t_final / dt))
+    if not math.isfinite(t_final / dt):
+        raise ValueError(f"the step count t_final / dt = {t_final!r} / {dt!r} is not finite")
+    n_steps = float(round(t_final / dt))  # a float: past int64 too, arange stays float64
+    if n_steps < 1.0:
+        raise ValueError(f"t_final={t_final!r} rounds to no step of dt={dt!r}")
     if abs(n_steps * dt - t_final) > 1e-9 * max(1.0, t_final):
         raise ValueError(f"t_final={t_final!r} is not an integer multiple of dt={dt!r}")
-    steps = np.arange(0, n_steps + 1, output_stride)
+    steps = np.arange(0.0, n_steps + 1.0, min(output_stride, n_steps))
     return np.append(steps[steps != n_steps], n_steps) * dt  # np.union1d imports numpy.ma
 
 

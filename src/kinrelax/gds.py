@@ -104,9 +104,8 @@ def make_band_limited_density(profile: str, *, xi_max: float = DEFAULT_TRUNCATIO
                               modes: int = 128, amplitude: float = 1.0,
                               sigma: float | None = None,
                               center: float | None = None,
-                              xi0: float | None = None,
-                              time: float = 0.0) -> SpectralDensity:
-    """Admissible band-limited density spectrum at the given time (default t=0).
+                              xi0: float | None = None) -> SpectralDensity:
+    """Admissible band-limited density spectrum at t = 0.
 
     The grid is xi_j = j * xi_max/modes for j = -modes..modes; samples
     outside the requested band and the zero-frequency sample are exactly
@@ -152,7 +151,7 @@ def make_band_limited_density(profile: str, *, xi_max: float = DEFAULT_TRUNCATIO
     else:
         raise ValueError(f"unknown profile {profile!r}; choose from {PROFILE_NAMES}")
 
-    return SpectralDensity(xi_grid=xi, rho_hat=mag.astype(complex), time=time)
+    return SpectralDensity(xi_grid=xi, rho_hat=mag.astype(complex))
 
 
 def evolve_density(rho0: SpectralDensity, t: float,

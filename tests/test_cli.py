@@ -66,6 +66,7 @@ def test_config_defaults_validate():
     {"profile": "gaussian-bump"},
     {"profile": {"name": "gaussian-bump", "bogus": 1}},
     {"profile": {"name": "gaussian-bump", "sigma": "x"}},
+    {"profile": {"name": "gaussian-bump", "time": 3.0}},  # moved only the hash
     {"tolerances": {"gds_vs_direct": "abc"}},
     {"tolerances": {"gds_vs_direct": float("nan")}},
     *({key: float("inf")} for key in ("n_velocity", "modes", "x_points", "seed",
@@ -463,6 +464,37 @@ def test_solve_direct_nonfinite_step_is_a_config_error(tmp_path):
     cfg.write_text('{"dt": NaN, "modes": 4, "xi_max": 0.6, "n_velocity": 32, '
                    '"x_points": 16}')
     assert run(["solve-direct", "--config", cfg, "--out", tmp_path / "o"]) == 2
+
+
+@pytest.mark.parametrize("bad, message", [
+    ({"t_final": 1e308, "dt": 1e-300}, "not finite"),  # exit 3: an OverflowError
+    ({"dt": 1e-320}, "not finite"),
+    ({"t_final": 1e-10, "dt": 0.01}, "rounds to no step"),  # exit 0, one row at t = 0
+])
+def test_solve_direct_step_count_is_a_config_error(tmp_path, capsys, bad, message):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({**bad, "modes": 4, "xi_max": 0.6, "n_velocity": 32,
+                               "x_points": 16}))
+    assert run(["solve-direct", "--config", cfg, "--out", tmp_path / "o"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and message in err, err
+    assert "Traceback" not in err and err.count("\n") == 1
+    assert not list((tmp_path / "o").rglob("*.csv"))
+
+
+def test_solve_direct_stride_past_the_step_count_records_both_ends(tmp_path, capsys):
+    # a stride past int64 made np.arange return an object array: a TypeError in the
+    # CSV formatter (exit 3) once the trajectories hold SMALL_VALUES values or more
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"output_stride": 10**30, "modes": 16, "xi_max": 0.6,
+                               "n_velocity": 32, "x_points": 64}))
+    assert run(["solve-direct", "--config", cfg, "--out", tmp_path / "o"]) == 0
+    assert capsys.readouterr().err == ""
+    paths = sorted((tmp_path / "o" / "trajectories").glob("mode_*.csv"))
+    assert len(paths) == 32
+    for path in paths:
+        _, data = read_csv(path)
+        assert data[:, 0].tolist() == [0.0, 5.0]
 
 
 def test_compare_nan_lambda_error_is_a_config_error(tmp_path):

@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 from scipy import linalg
 
+from kinrelax import diagnostics
 from kinrelax.diagnostics import (ResidualReport, Tolerances, compare_gds_direct,
-                                  continuity_residual, fit_convergence_order,
-                                  spectral_continuity_residual)
+                                  continuity_residual, direct_unit_modes,
+                                  fit_convergence_order, spectral_continuity_residual)
 from kinrelax.direct import ModeOperator, propagate
 from kinrelax.dispersion import build_table, transfer_function
 from kinrelax.gds import (FieldSnapshot, evolve_density, lift_to_kinetic,
@@ -171,6 +172,22 @@ def test_half_band_matches_brute_force_both_halves(profile, method):
     brute = _brute_force_residuals(rho0, table, grid, times, method)
     assert rep.residuals.shape == (brute.size,)
     assert np.max(np.abs(rep.residuals - brute.ravel())) < 1e-13
+
+
+def test_direct_unit_modes_integrates_positive_modes_in_blocks_of_16(grid, monkeypatch):
+    # propagate holds a (modes, N, N) stack for all the modes of one call, so the
+    # memory bound is the block size of direct_unit_modes
+    calls = []
+
+    def recording(f0, xi, *args, **kw):
+        calls.append(np.array(xi))
+        return propagate(f0, xi, *args, **kw)
+
+    monkeypatch.setattr(diagnostics, "propagate", recording)
+    rho0, table = gds_setup(xi_max=0.9, modes=128)
+    direct_unit_modes(rho0, table, grid, [0.5])
+    assert [len(xi) for xi in calls] == [16] * 8
+    assert np.array_equal(np.concatenate(calls), rho0.xi_grid[rho0.xi_grid > 0])
 
 
 def test_compare_row_order_and_worst_location(grid):

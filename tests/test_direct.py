@@ -8,8 +8,8 @@ from scipy import linalg
 from kinrelax.diagnostics import distance_to_ray
 from kinrelax import direct, dispersion, quadrature
 from kinrelax.direct import (ModeOperator, _parity_generator, _power, default_rk4_dt,
-                             evolve_mode, from_parity, propagate, rk4_stability_limit,
-                             to_parity)
+                             evolve_mode, from_parity, output_times, propagate,
+                             rk4_stability_limit, to_parity)
 from kinrelax.dispersion import build_table, transfer_function
 from kinrelax.quadrature import build_grid, inner_product_phi, integrate_phi, moment, norm_phi
 
@@ -113,6 +113,28 @@ def test_evolve_mode_records_density(grid):
 def test_evolve_mode_rejects_misaligned_final_time(grid):
     with pytest.raises(ValueError, match="multiple"):
         evolve_mode(np.ones(64, dtype=complex), 0.4, grid, t_final=0.55, dt=0.1)
+
+
+@pytest.mark.parametrize("t_final, dt, message", [
+    (1e308, 1e-300, "not finite"),  # int(round(inf)): an OverflowError
+    (5.0, 1e-320, "not finite"),
+    (1e-10, 0.01, "rounds to no step"),  # recorded t = 0 alone, never t_final
+])
+def test_output_times_rejects_step_counts_that_are_not_a_positive_number(t_final, dt,
+                                                                         message):
+    with pytest.raises(ValueError, match=message):
+        output_times(t_final, dt)
+
+
+def test_output_times_are_float_for_every_stride():
+    # a stride past int64 made np.arange return an object array
+    for stride in (1, 7, 499, 500, 501, 2**63, 10**30):
+        times = output_times(5.0, 0.01, stride)
+        assert times.dtype == np.float64
+        assert times[0] == 0.0 and times[-1] == 5.0 and np.all(np.diff(times) > 0)
+    assert output_times(5.0, 0.01, 10**30).tolist() == [0.0, 5.0]
+    assert output_times(5.0, 0.01, 500).tolist() == [0.0, 5.0]
+    assert output_times(5.0, 0.01, 499).tolist() == [0.0, 4.99, 5.0]
 
 
 def test_mass_flux_identity_along_trajectory(grid):
@@ -229,6 +251,20 @@ def test_default_rk4_step_is_the_smallest_of_the_block(grid):
     slow = propagate(f0[:1], xi[:1], grid, [0.5], method="rk4", dt=h)
     for got, ref in ((block[0, 1], tight[0, 0]), (block[0, 0], slow[0, 0])):
         assert np.max(np.abs(got - ref)) < 1e-13 * np.max(np.abs(ref))
+    # more modes than a block of 16, the tightest last: all take that one step
+    xi = np.linspace(0.05, 0.9, 20)
+    f0 = rng.standard_normal((20, 64)) + 1j * rng.standard_normal((20, 64))
+    block = propagate(f0, xi, grid, [0.5], method="rk4")[0]
+    ref = propagate(f0, xi, grid, [0.5], method="rk4", dt=h)[0]
+    err = np.max(np.abs(block - ref), axis=-1)
+    assert np.all(err < 1e-13 * np.max(np.abs(ref), axis=-1))
+
+
+@pytest.mark.parametrize("method", ["rk4", "exact-dense"])
+def test_no_modes_give_no_states(grid, method):
+    # the step bound is a min or max over the modes, which no mode leaves undefined
+    states = propagate(np.empty((0, 64)), [], grid, [1.0, 0.5], method=method)
+    assert states.shape == (2, 0, 64)
 
 
 def test_mode_operator_stack_matches_per_row_operators(grid):
