@@ -11,8 +11,7 @@ derivation-free direct integrator.
 __version__ = "0.1.0"
 
 from .quadrature import (SQRT_PI, VelocityGrid, adaptive_phi_integral, build_grid,
-                         gaussian_moment, inner_product_phi, integrate_phi, moment,
-                         norm_phi)
+                         gaussian_moment, inner_product_phi, moment, norm_phi)
 from .collision import (apply_collision, check_mass_conservation,
                         check_negative_semidefinite, check_self_adjoint,
                         collision_matrix, operator_norm_bound_check)
@@ -25,13 +24,12 @@ from .gds import (DEFAULT_TRUNCATION, FieldSnapshot, KineticStateSpectral,
                   SpectralDensity, evolve_density, lift_to_kinetic,
                   make_band_limited_density, to_physical)
 from .diagnostics import (ResidualReport, Tolerances, compare_gds_direct,
-                          continuity_residual, fit_convergence_order,
-                          spectral_continuity_residual)
+                          continuity_residual, spectral_continuity_residual)
 
 __all__ = [
     "__version__",
     "SQRT_PI", "VelocityGrid", "adaptive_phi_integral", "build_grid",
-    "gaussian_moment", "inner_product_phi", "integrate_phi", "moment", "norm_phi",
+    "gaussian_moment", "inner_product_phi", "moment", "norm_phi",
     "apply_collision", "check_mass_conservation", "check_negative_semidefinite",
     "check_self_adjoint", "collision_matrix", "operator_norm_bound_check",
     "BAND_EDGE", "DispersionTable", "UnsupportedFrequencyError", "build_table",
@@ -41,5 +39,5 @@ __all__ = [
     "DEFAULT_TRUNCATION", "FieldSnapshot", "KineticStateSpectral", "SpectralDensity",
     "evolve_density", "lift_to_kinetic", "make_band_limited_density", "to_physical",
     "ResidualReport", "Tolerances", "compare_gds_direct", "continuity_residual",
-    "fit_convergence_order", "spectral_continuity_residual",
+    "spectral_continuity_residual",
 ]

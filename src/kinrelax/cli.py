@@ -49,10 +49,16 @@ class ConfigError(ValueError):
     """Invalid run configuration (maps to exit code 2)."""
 
 
+def _real(value) -> float:  # float("0.01") and float(True) would pass
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError(f"expected a JSON number, got {value!r}")
+    return float(value)
+
+
 def _profile(value) -> dict:
     if not isinstance(value, dict):
         raise TypeError("profile must be an object with a 'name' field")
-    return {k: v if k == "name" else float(v) for k, v in value.items()}
+    return {k: v if k == "name" else _real(v) for k, v in value.items()}
 
 
 def _int(value) -> int:
@@ -71,14 +77,20 @@ def _bool(value) -> bool:  # bool("false") is True
 def _times(value) -> list:
     if not isinstance(value, (list, tuple)):
         raise TypeError("times must be a list of numbers")
-    return [float(t) for t in value]
+    return [_real(t) for t in value]
+
+
+def _tolerances(value) -> Tolerances:  # [] or null would mean the defaults
+    if not isinstance(value, dict):
+        raise TypeError(f"expected a JSON object, got {value!r}")
+    return Tolerances.from_dict({k: _real(v) for k, v in value.items()})
 
 
 # Each config key once: its default, which is what the hash sees for an unset
 # key, and the coercion of its value.  A flag of the same name overrides it.
 SCHEMA = {
     "n_velocity": (64, _int),
-    "xi_max": (0.9, float),
+    "xi_max": (0.9, _real),
     "modes": (128, _int),
     "x_points": (512, _int),
     "profile": ({"name": "gaussian-bump", "sigma": 0.18, "center": 0.45,
@@ -87,18 +99,18 @@ SCHEMA = {
     "method": ("exact", str),
     "seed": (1234, _int),
     "out": ("out", str),
-    "xi_min": (DEFAULT_XI_MIN, float),
-    "edge_margin": (DEFAULT_EDGE_MARGIN, float),
+    "xi_min": (DEFAULT_XI_MIN, _real),
+    "edge_margin": (DEFAULT_EDGE_MARGIN, _real),
     "dispersion_samples": (200, _int),
-    "identity_band": (0.75, float),
+    "identity_band": (0.75, _real),
     "identity_samples": (200, _int),
-    "dt": (0.01, float),
-    "t_final": (5.0, float),
+    "dt": (0.01, _real),
+    "t_final": (5.0, _real),
     "output_stride": (10, _int),
     "include_kinetic": (False, _bool),
-    "inject_lambda_error": (0.0, float),
+    "inject_lambda_error": (0.0, _real),
     "fail_fast": (False, _bool),
-    "tolerances": ({}, Tolerances.from_dict),
+    "tolerances": ({}, _tolerances),
 }
 DEFAULT_CONFIG = {key: default for key, (default, _) in SCHEMA.items()}
 
@@ -126,7 +138,7 @@ class RunConfig:
         return cfg
 
     def validate(self) -> None:
-        reals = [getattr(self, k) for k, (_, coerce) in SCHEMA.items() if coerce is float]
+        reals = [getattr(self, k) for k, (_, coerce) in SCHEMA.items() if coerce is _real]
         reals += [*self.times, *astuple(self.tolerances),
                   *(v for k, v in self.profile.items() if k != "name")]
         if not all(math.isfinite(x) for x in reals):

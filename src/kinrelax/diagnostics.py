@@ -1,8 +1,9 @@
 """Cross-cutting residuals and comparison reports.
 
-Every check of the construction (``dispersion``, ``gds``) against the
-direct oracle (``direct``) lives here: no other library module imports
-both sides, so the oracle never sees the dispersion solve.
+The checks of the construction (``dispersion``, ``gds``) against the
+direct mode integration (``direct``) live here; ``cli``'s property battery
+adds two rows of ``ModeOperator`` against the table.  ``direct`` imports
+neither side, so the oracle never sees the dispersion solve.
 
 Norm conventions: weighted L2 in velocity (the phi pairing), plain
 discrete L2 in x, max over frequency modes.  Tolerances live in one
@@ -219,15 +220,4 @@ def compare_gds_direct(rho0: SpectralDensity, times, table: DispersionTable,
                       "value": float(residuals[m, j])},
         },
     )
-
-
-def fit_convergence_order(steps, errors) -> float:
-    """Least-squares slope of log(error) against log(step)."""
-    steps = np.asarray(steps, dtype=float)
-    errors = np.asarray(errors, dtype=float)
-    if steps.shape != errors.shape or len(steps) < 2:
-        raise ValueError("need at least two (step, error) pairs")
-    if np.any(steps <= 0) or np.any(errors <= 0):
-        raise ValueError("steps and errors must be positive for a log-log fit")
-    return float(np.polyfit(np.log(steps), np.log(errors), 1)[0])
 

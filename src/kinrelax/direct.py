@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .quadrature import VelocityGrid, as_grid_array, integrate_phi, norm_phi
+from .quadrature import VelocityGrid, as_grid_array, moment, norm_phi
 
 
 @dataclass(frozen=True)
@@ -58,7 +58,7 @@ class ModeOperator:
         """
         mu, vecs = np.linalg.eig(_parity_generator(self.xi, self.grid))
         vecs = from_parity(np.swapaxes(vecs, -1, -2), self.grid)  # one per row
-        mass = integrate_phi(vecs, self.grid)
+        mass = moment(vecs, 0, self.grid)
         carries = np.abs(mass) > 1e-8 * norm_phi(vecs, self.grid)
         if not np.all(np.any(carries, axis=-1)):
             raise ArithmeticError("no eigenvector with a nonvanishing mass component")

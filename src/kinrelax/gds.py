@@ -7,7 +7,7 @@ density:
 
     f_hat(t, xi, v) = K_hat(xi, v) * rho_hat(t, xi).
 
-Physical fields come from the inverse FFT.
+Physical fields are the inverse FFT of the kinetic state's velocity moments.
 
 Domain substitution (deliberate): fields live on a periodic x-domain of
 length L = 2*pi/dxi whose discrete frequencies are exactly the spectral
@@ -69,6 +69,8 @@ class SpectralDensity:
             raise ValueError("frequency grid must be uniform and increasing")
         if np.max(np.abs(xi + xi[::-1])) > 1e-12 * max(1.0, xi[-1]):
             raise ValueError("frequency grid must be symmetric about 0")
+        if not np.all(np.isfinite(rho)):  # a nan passes every comparison below
+            raise ValueError("spectrum samples must be finite")
         scale = max(1.0, float(np.max(np.abs(rho))))
         if np.max(np.abs(rho - np.conj(rho[::-1]))) > 1e-12 * scale:
             raise ValueError("spectrum must be Hermitian: rho(-xi) = conj(rho(xi))")
@@ -223,9 +225,6 @@ class FieldSnapshot:
     def domain_length(self) -> float:
         return float(len(self.x_grid) * self.dx)
 
-    def total_mass(self) -> float:
-        return float(np.sum(self.rho) * self.dx)
-
 
 def _synthesize(values: np.ndarray, modes: int, x_points: int, L: float) -> np.ndarray:
     # field(x_n) = (1/L) sum_j values_j exp(i xi_j x_n) along axis 0: the Riemann
@@ -236,46 +235,29 @@ def _synthesize(values: np.ndarray, modes: int, x_points: int, L: float) -> np.n
     return ifft(packed, axis=0) * (x_points / L)
 
 
-def to_physical(state, x_points: int, table: DispersionTable | None = None,
+def to_physical(state: KineticStateSpectral, x_points: int,
                 include_f: bool = False) -> FieldSnapshot:
     """Inverse transform to x_points samples on the periodic domain [0, 2*pi/dxi).
 
-    ``state`` is a SpectralDensity (needs ``table`` for the flux, which is
-    i*a(xi)*rho_hat) or a KineticStateSpectral (density and flux are its
-    own velocity moments).  x_points must be a power of two with
-    x_points >= 2*(modes + 1) so the extreme modes stay strictly below the
-    Nyquist index.
+    Density and flux are the state's own velocity moments.  x_points must
+    be a power of two with x_points >= 2*(modes + 1) so the extreme modes
+    stay strictly below the Nyquist index.
     """
-    if isinstance(state, SpectralDensity):
-        xi_grid, rho_hat = state.xi_grid, state.rho_hat
-        if table is None:
-            raise ValueError("a dispersion table is required to form the flux "
-                             "from a bare SpectralDensity")
-        flux_hat = np.zeros_like(rho_hat)
-        idx = state.active_indices()
-        flux_hat[idx] = 1j * table.a[table.index_of(xi_grid[idx])] * rho_hat[idx]
-        f_hat = None
-        if include_f:
-            raise ValueError("include_f requires a KineticStateSpectral input")
-    elif isinstance(state, KineticStateSpectral):
-        xi_grid, rho_hat, flux_hat = state.xi_grid, state.density(), state.flux()
-        f_hat = state.f_hat if include_f else None
-    else:
-        raise TypeError(f"unsupported state type {type(state).__name__}")
-
-    modes = (len(xi_grid) - 1) // 2
-    L = 2.0 * math.pi / float(xi_grid[1] - xi_grid[0])
+    if not isinstance(state, KineticStateSpectral):
+        raise TypeError(f"unsupported state type {type(state).__name__}; "
+                        "lift a SpectralDensity with lift_to_kinetic first")
+    modes = (len(state.xi_grid) - 1) // 2
+    L = 2.0 * math.pi / float(state.xi_grid[1] - state.xi_grid[0])
     if x_points < 2 * (modes + 1):
         raise ValueError(f"x_points={x_points} must be >= 2*(modes+1)={2 * (modes + 1)}")
     if x_points & (x_points - 1):
         raise ValueError(f"x_points={x_points} must be a power of two")
 
-    rho = _real_checked(_synthesize(rho_hat, modes, x_points, L), "density field")
-    flux = _real_checked(_synthesize(flux_hat, modes, x_points, L), "flux field")
-    f = None if f_hat is None else _real_checked(_synthesize(f_hat, modes, x_points, L),
-                                                 "molecular density field")
+    rho = _real_checked(_synthesize(state.density(), modes, x_points, L), "density field")
+    flux = _real_checked(_synthesize(state.flux(), modes, x_points, L), "flux field")
+    f = (_real_checked(_synthesize(state.f_hat, modes, x_points, L), "molecular density field")
+         if include_f else None)
 
     x_grid = np.arange(x_points) * (L / x_points)
-    return FieldSnapshot(x_grid=x_grid, rho=rho, flux=flux,
-                         time=getattr(state, "time", 0.0), f=f)
+    return FieldSnapshot(x_grid=x_grid, rho=rho, flux=flux, time=state.time, f=f)
 

@@ -104,11 +104,6 @@ def moment(f, k: int, grid: VelocityGrid):
     return np.sum(grid.weights * grid.nodes**k * f, axis=-1)
 
 
-def integrate_phi(f, grid: VelocityGrid):
-    """Discrete integral of f against phi: sum_j w_j f_j."""
-    return moment(f, 0, grid)
-
-
 def gaussian_moment(k: int) -> float:
     """Exact integral of v^k phi(v) dv: zero for odd k, (k-1)!!/2^(k/2) for even k."""
     if k < 0:

@@ -10,11 +10,11 @@ the quadrature resolves the transfer function's pole (see README).
 import numpy as np
 import pytest
 
+from helpers import fit_convergence_order
 from kinrelax.collision import (check_mass_conservation,
                                 check_negative_semidefinite, check_self_adjoint,
                                 collision_matrix, operator_norm_bound_check)
 from kinrelax.diagnostics import (compare_gds_direct, continuity_residual,
-                                  fit_convergence_order,
                                   spectral_continuity_residual)
 from kinrelax.direct import ModeOperator
 from kinrelax.dispersion import build_table, c_of_xi, transfer_function, xi_of_c

@@ -72,6 +72,10 @@ def test_config_defaults_validate():
     *({key: float("inf")} for key in ("n_velocity", "modes", "x_points", "seed",
                                       "dispersion_samples", "identity_samples",
                                       "output_stride")),
+    {"tolerances": []},  # meant the defaults
+    {"tolerances": None},
+    {"dt": "0.01"},
+    {"times": [True, 2]},
 ])
 def test_config_rejections(bad):
     with pytest.raises(ConfigError):
@@ -82,10 +86,14 @@ def test_config_rejections(bad):
     {"include_kinetic": "false"}, {"fail_fast": "no"}, {"include_kinetic": 0},
     {"modes": 10.9}, {"modes": 64.0}, {"n_velocity": True}, {"seed": "7"},
     {"output_stride": None},
+    {"xi_max": True}, {"dt": "0.01"}, {"times": [True, 2]},
+    {"profile": {"name": "gaussian-bump", "sigma": True}},
+    {"tolerances": {"gds_vs_direct": True}}, {"tolerances": []},
 ])
 def test_typed_keys_take_only_json_booleans_and_integers(tmp_path, capsys, bad):
-    # bool("false") turned the kinetic export on, and int(10.9) ran 10 modes
-    # under a hash that recorded 10.9
+    # bool("false") turned the kinetic export on, int(10.9) ran 10 modes under a
+    # hash that recorded 10.9, float(True) ran xi_max 1.0, and [] meant the
+    # default tolerances
     (key, value), = bad.items()
     with pytest.raises(ConfigError, match=f"{key!r}: expected a JSON"):
         RunConfig.from_dict(bad)
@@ -432,6 +440,18 @@ def test_config_rejects_nonfinite_values(bad):
         RunConfig.from_dict(bad)
 
 
+@pytest.mark.parametrize("command", ["build-gds", "compare", "solve-direct", "properties"])
+def test_profile_that_evaluates_to_nan_is_a_config_error(tmp_path, capsys, command):
+    # sigma**2 underflows to 0, so the sample at the centre is 0/0: build-gds and
+    # solve-direct wrote nan fields with exit 0, compare reported "FAIL max=nan"
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"xi_max": 0.9, "modes": 2, "x_points": 8, "n_velocity": 8,
+                               "profile": {"name": "gaussian-bump", "sigma": 1e-200,
+                                           "center": 0.45}}))
+    assert run([command, "--config", cfg, "--out", tmp_path / "o"]) == 2
+    assert "config error: spectrum samples must be finite" in capsys.readouterr().err
+
+
 def test_compare_nan_time_is_a_config_error(tmp_path):
     # used to report "FAIL max=nan" with the tolerance-failure exit code 1
     assert run(["compare", *FAST, "--times", "nan", "--out", tmp_path]) == 2
@@ -593,3 +613,73 @@ def test_property_battery_matches_per_draw_reference():
     rows = {name: value for name, value, _ in _property_rows(config)}
     for name, expected in _per_draw_reference(config).items():
         assert rows[name] == expected, name  # bitwise: same draws, same row sums
+
+
+# ------------------------------------------------------------------ fuzz
+
+NAN, INF = math.nan, math.inf
+sf = st.sampled_from
+
+# Each SCHEMA key but "out": (valid values, boundary values), sized so that no
+# run holds more than 4 modes, 8 velocities, 32 points, 5 samples or 1e4 steps.
+FUZZ_KEYS = {
+    "n_velocity": (sf([2, 3, 8]), sf([1, 0, -4])),
+    "xi_max": (sf([0.3, 0.9, 1.7]), sf([0.0, SQRT_PI, -0.1, 1e-300, NAN])),
+    "modes": (sf([1, 2, 4]), sf([0, -1])),
+    "x_points": (sf([16, 32]), sf([0, 8, 12, -16])),
+    "profile": (st.fixed_dictionaries(
+        {"name": sf(["gaussian-bump", "hann-band", "single-mode"])},
+        optional={"amplitude": sf([0.5, 2]), "sigma": sf([0.1, 0.3]),
+                  "center": sf([0.2, 0.45]), "xi0": sf([0.1, 0.3])}),
+        sf([{"name": "mystery"}, {"name": "gaussian-bump", "sigma": 0.0},
+            {"name": "single-mode", "xi0": 5.0}, {"name": "hann-band", "amplitude": 0.0},
+            {"name": "hann-band", "amplitude": 1e308}, {"name": "hann-band", "time": 1.0}])),
+    "times": (st.lists(sf([0.0, 0.5, 2.0, 10.0]), min_size=1, max_size=3),
+              sf([[], [-1.0], [NAN], [INF], [1e308]])),
+    "method": (sf(["exact", "rk4"]), sf(["euler", ""])),
+    "seed": (sf([0, 7]), sf([-1, 2**64])),
+    "xi_min": (sf([1e-3, 1e-2]), sf([0.0, 0.5, 1.7, -0.1, SQRT_PI])),
+    "edge_margin": (sf([1e-3, 1e-2]), sf([0.0, 1.0, -1e-3, SQRT_PI])),
+    "dispersion_samples": (sf([2, 5]), sf([1, 0])),
+    "identity_band": (sf([0.1, 0.75]), sf([1.75, 0.0, SQRT_PI])),
+    "identity_samples": (sf([2, 5]), sf([1, -2])),
+    "dt": (sf([1e-4, 0.01, 0.05]), sf([0.0, -0.01, 5.0, INF, NAN, 1e-320])),
+    "t_final": (sf([0.05, 1.0]), sf([1e-10, 0.0, -1.0, INF])),
+    "output_stride": (sf([1, 10]), sf([10**30, 0])),
+    "include_kinetic": (st.booleans(), sf([0, "false"])),
+    "inject_lambda_error": (sf([0.0, 1e-3]), sf([-1e308, 1e308, NAN])),
+    "fail_fast": (st.booleans(), sf(["no"])),
+    "tolerances": (sf([{}, {"gds_vs_direct": 1e-5}, {"weights_sum": -1.0}]),
+                   sf([{"bogus": 1.0}, [], {"eigenpair": 1e300}, {"eigenpair": INF}])),
+}
+WRONG = [None, True, "1", [1], {}]  # no SCHEMA key takes all of these types
+# always set: their defaults run 128 modes at 64 velocities, 200 samples, 500 steps
+SIZES = ("n_velocity", "modes", "x_points", "dispersion_samples", "identity_samples",
+         "t_final", "dt")
+
+
+@st.composite
+def config_documents(draw):
+    """Valid values for the size keys and some others, then perhaps one key at a
+    boundary value and one wrongly typed, so that most documents reach a command."""
+    valid = {key: values for key, (values, _) in FUZZ_KEYS.items()}
+    doc = draw(st.fixed_dictionaries({key: valid.pop(key) for key in SIZES},
+                                     optional=valid))
+    if draw(st.booleans()):
+        key = draw(sf(sorted(FUZZ_KEYS)))
+        doc[key] = draw(FUZZ_KEYS[key][1])
+    if draw(st.booleans()):
+        doc[draw(sf(sorted(FUZZ_KEYS)))] = draw(sf(WRONG))
+    return doc
+
+
+@settings(max_examples=25, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(sf(sorted(cli.COMMANDS)), config_documents())
+def test_every_config_document_ends_in_a_documented_exit(tmp_path, capsys, command, doc):
+    # exit 3 (an internal error) on any document is a fault of the program
+    (tmp_path / "fuzz.json").write_text(json.dumps(doc))
+    code = run([command, "--config", tmp_path / "fuzz.json", "--out", tmp_path / "o"])
+    err = capsys.readouterr().err
+    assert code in (0, 1, 2), err
+    assert "internal error" not in err and "Traceback" not in err

@@ -2,10 +2,11 @@ import numpy as np
 import pytest
 from scipy import linalg
 
+from helpers import fit_convergence_order
 from kinrelax import diagnostics
 from kinrelax.diagnostics import (ResidualReport, Tolerances, compare_gds_direct,
                                   continuity_residual, direct_unit_modes,
-                                  fit_convergence_order, spectral_continuity_residual)
+                                  spectral_continuity_residual)
 from kinrelax.direct import ModeOperator, propagate
 from kinrelax.dispersion import build_table, transfer_function
 from kinrelax.gds import (FieldSnapshot, evolve_density, lift_to_kinetic,

@@ -58,9 +58,9 @@ def test_truncation_is_exact():
     assert np.max(np.abs(rho.xi_grid[rho.active_indices()])) <= 1.5
 
 
-def test_inverse_transform_of_profile_is_real():
+def test_inverse_transform_of_profile_is_real(grid):
     rho0, table = small_setup()
-    snap = to_physical(rho0, 64, table=table)
+    snap = to_physical(lift_to_kinetic(rho0, table, grid), 64)
     assert snap.rho.dtype == np.float64  # _real_checked enforced <1e-10 residue
 
 
@@ -74,6 +74,8 @@ def test_spectrum_validation():
         SpectralDensity(xi_grid=xi, rho_hat=np.array([1, 2j, 0, 2j, 1.0]))
     with pytest.raises(ValueError, match="zero-frequency"):
         SpectralDensity(xi_grid=xi, rho_hat=np.array([1, 2, 1, 2, 1.0]))
+    with pytest.raises(ValueError, match="finite"):
+        SpectralDensity(xi_grid=xi, rho_hat=np.array([1, np.nan, 0, np.nan, 1.0]))
 
 
 def test_out_of_band_samples_must_vanish():
@@ -192,7 +194,7 @@ def test_lift_density_and_flux_consistency(grid):
 
 def test_single_mode_gives_pure_cosine(grid):
     rho0, table = small_setup("single-mode", xi_max=0.8, modes=16, xi0=0.4)
-    snap = to_physical(rho0, 128, table=table)
+    snap = to_physical(lift_to_kinetic(rho0, table, grid), 128)
     xi0 = 0.4
     L = rho0.domain_length
     expected = (2.0 / L) * np.cos(xi0 * snap.x_grid)
@@ -202,7 +204,7 @@ def test_single_mode_gives_pure_cosine(grid):
 def test_single_mode_flux_profile(grid):
     rho0, table = small_setup("single-mode", xi_max=0.8, modes=16, xi0=0.4)
     a = float(table.a[table.index_of(0.4)])
-    snap = to_physical(rho0, 128, table=table)
+    snap = to_physical(lift_to_kinetic(rho0, table, grid), 128)
     L = rho0.domain_length
     expected = -(2.0 * a / L) * np.sin(0.4 * snap.x_grid)
     assert np.max(np.abs(snap.flux - expected)) < 1e-12 * (2.0 * abs(a) / L)
@@ -212,8 +214,8 @@ def test_total_mass_is_zero_for_admissible_band(grid):
     rho0, table = small_setup()
     for t in (0.0, 1.0, 5.0):
         rho_t = evolve_density(rho0, t, table)
-        snap = to_physical(rho_t, 64, table=table)
-        assert abs(snap.total_mass()) < 1e-10
+        snap = to_physical(lift_to_kinetic(rho_t, table, grid), 64)
+        assert abs(np.sum(snap.rho) * snap.dx) < 1e-10
 
 
 def test_parseval_consistency(grid):
@@ -227,12 +229,13 @@ def test_parseval_consistency(grid):
 
 def test_grid_mismatch_and_size_validation(grid):
     rho0, table = small_setup()
+    state = lift_to_kinetic(rho0, table, grid)
     with pytest.raises(ValueError, match="power of two"):
-        to_physical(rho0, 48, table=table)
+        to_physical(state, 48)
     with pytest.raises(ValueError, match=">="):
-        to_physical(rho0, 32, table=table)  # 2*(16+1) = 34 > 32
-    with pytest.raises(ValueError, match="table"):
-        to_physical(rho0, 64)
+        to_physical(state, 32)  # 2*(16+1) = 34 > 32
+    with pytest.raises(TypeError, match="lift_to_kinetic"):
+        to_physical(rho0, 64)  # a bare spectrum: fields come from the lifted state
 
 
 def test_kinetic_snapshot_with_molecular_matrix(grid):

@@ -128,7 +128,7 @@ def test_commands_import_nothing_past_start_up(tmp_path):
 PUBLIC = {
     "__version__",
     "SQRT_PI", "VelocityGrid", "adaptive_phi_integral", "build_grid", "gaussian_moment",
-    "inner_product_phi", "integrate_phi", "moment", "norm_phi",
+    "inner_product_phi", "moment", "norm_phi",
     "apply_collision", "check_mass_conservation", "check_negative_semidefinite",
     "check_self_adjoint", "collision_matrix", "operator_norm_bound_check",
     "BAND_EDGE", "DispersionTable", "UnsupportedFrequencyError", "build_table", "c_of_xi",
@@ -137,7 +137,7 @@ PUBLIC = {
     "DEFAULT_TRUNCATION", "FieldSnapshot", "KineticStateSpectral", "SpectralDensity",
     "evolve_density", "lift_to_kinetic", "make_band_limited_density", "to_physical",
     "ResidualReport", "Tolerances", "compare_gds_direct", "continuity_residual",
-    "fit_convergence_order", "spectral_continuity_residual",
+    "spectral_continuity_residual",
 }
 
 

@@ -7,8 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kinrelax.quadrature import (SQRT_PI, VelocityGrid, adaptive_phi_integral,
-                                 build_grid, gaussian_moment, inner_product_phi,
-                                 integrate_phi, moment, norm_phi)
+                                 build_grid, gaussian_moment, inner_product_phi, moment,
+                                 norm_phi)
 
 
 @pytest.fixture(scope="module")
@@ -67,9 +67,9 @@ def test_second_moment(order):
 
 def test_integrate_constant_and_odd(grid64):
     ones = np.ones(64)
-    assert abs(integrate_phi(ones, grid64) - 1.0) < 1e-14
-    assert abs(integrate_phi(grid64.nodes, grid64)) < 1e-12
-    assert abs(integrate_phi(grid64.nodes**3, grid64)) < 1e-12
+    assert abs(moment(ones, 0, grid64) - 1.0) < 1e-14
+    assert abs(moment(grid64.nodes, 0, grid64)) < 1e-12
+    assert abs(moment(grid64.nodes**3, 0, grid64)) < 1e-12
 
 
 def test_v2_moment_against_adaptive_quadrature(grid64):
@@ -134,7 +134,7 @@ def test_polynomial_exactness(order):
         exact = sum(c * gaussian_moment(k) for k, c in enumerate(coeffs))
         scale = max(1.0, sum(abs(c) * gaussian_moment(k + k % 2)
                              for k, c in enumerate(coeffs)))
-        assert abs(integrate_phi(vals, g) - exact) < 1e-10 * scale
+        assert abs(moment(vals, 0, g) - exact) < 1e-10 * scale
 
 
 def test_odd_functions_integrate_to_zero(grid64):
@@ -142,7 +142,7 @@ def test_odd_functions_integrate_to_zero(grid64):
     for _ in range(10):
         coeffs = rng.uniform(-1.0, 1.0, size=6)
         odd = sum(c * grid64.nodes ** (2 * k + 1) for k, c in enumerate(coeffs))
-        assert abs(integrate_phi(odd, grid64)) < 1e-12 * max(1.0, np.max(np.abs(odd)))
+        assert abs(moment(odd, 0, grid64)) < 1e-12 * max(1.0, np.max(np.abs(odd)))
 
 
 def test_adaptive_integral_against_closed_forms():
@@ -190,7 +190,7 @@ def test_pairings_over_stacks_match_per_row(order, lead, seed):
          [inner_product_phi(a, b, grid) for a, b in zip(rows_f, rows_g)]),
         (norm_phi(f, grid), [norm_phi(a, grid) for a in rows_f]),
         (moment(f, 3, grid), [moment(a, 3, grid) for a in rows_f]),
-        (integrate_phi(g, grid), [integrate_phi(b, grid) for b in rows_g]),
+        (moment(g, 0, grid), [moment(b, 0, grid) for b in rows_g]),
     ]:
         assert np.shape(stacked) == tuple(lead)
         assert np.array_equal(np.reshape(stacked, -1), per_row)
