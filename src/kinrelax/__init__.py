@@ -15,14 +15,12 @@ from .quadrature import (SQRT_PI, VelocityGrid, adaptive_phi_integral, build_gri
 from .collision import (apply_collision, check_mass_conservation,
                         check_negative_semidefinite, check_self_adjoint,
                         collision_matrix, operator_norm_bound_check)
-from .dispersion import (BAND_EDGE, DispersionTable, UnsupportedFrequencyError,
-                         build_table, c_of_xi, transfer_function, xi_of_c,
-                         xi_of_c_quadrature)
+from .dispersion import (DispersionTable, UnsupportedFrequencyError, build_table,
+                         c_of_xi, transfer_function, xi_of_c, xi_of_c_quadrature)
 from .direct import (ModeOperator, ModeTrajectory, default_rk4_dt, evolve_mode,
                      rk4_stability_limit)
-from .gds import (DEFAULT_TRUNCATION, FieldSnapshot, KineticStateSpectral,
-                  SpectralDensity, evolve_density, lift_to_kinetic,
-                  make_band_limited_density, to_physical)
+from .gds import (FieldSnapshot, KineticStateSpectral, SpectralDensity, evolve_density,
+                  lift_to_kinetic, make_band_limited_density, to_physical)
 from .diagnostics import (ResidualReport, Tolerances, compare_gds_direct,
                           continuity_residual, spectral_continuity_residual)
 
@@ -32,12 +30,12 @@ __all__ = [
     "gaussian_moment", "inner_product_phi", "moment", "norm_phi",
     "apply_collision", "check_mass_conservation", "check_negative_semidefinite",
     "check_self_adjoint", "collision_matrix", "operator_norm_bound_check",
-    "BAND_EDGE", "DispersionTable", "UnsupportedFrequencyError", "build_table",
-    "c_of_xi", "transfer_function", "xi_of_c", "xi_of_c_quadrature",
+    "DispersionTable", "UnsupportedFrequencyError", "build_table", "c_of_xi",
+    "transfer_function", "xi_of_c", "xi_of_c_quadrature",
     "ModeOperator", "ModeTrajectory", "default_rk4_dt", "evolve_mode",
     "rk4_stability_limit",
-    "DEFAULT_TRUNCATION", "FieldSnapshot", "KineticStateSpectral", "SpectralDensity",
-    "evolve_density", "lift_to_kinetic", "make_band_limited_density", "to_physical",
+    "FieldSnapshot", "KineticStateSpectral", "SpectralDensity", "evolve_density",
+    "lift_to_kinetic", "make_band_limited_density", "to_physical",
     "ResidualReport", "Tolerances", "compare_gds_direct", "continuity_residual",
     "spectral_continuity_residual",
 ]

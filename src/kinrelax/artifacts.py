@@ -3,7 +3,7 @@
 ``write_csv`` writes "# " comment lines, the column names and rows of floats,
 each value in the bytes of "%.17g" % v but formatted in numpy (``_format_pass``);
 ``write_json`` writes the bytes of ``json.dumps(doc, indent=2, sort_keys=True)``
-and streams a dispersion table's points.  No other module opens a file for
+and streams a list of point objects.  No other module opens a file for
 writing.
 """
 
@@ -12,12 +12,9 @@ import json
 
 import numpy as np
 
-CHUNK_ROWS = 256  # table JSON rows rendered per write: no artifact is held whole as text
+CHUNK_ROWS = 256  # JSON points rendered per write: no artifact is held whole as text
 CHUNK_VALUES = 4096  # CSV values per formatter pass, which holds about 1.2 MB of scratch
 SMALL_VALUES = 256  # below this many values one "%" costs less than a pass (about 0.2 ms)
-# One "points" entry of the table JSON at indent 2 with sorted keys, comma first.
-_JSON_POINT = (',\n    {\n      "a": %r,\n      "b": %r,\n      "c": %r,\n'
-               '      "lambda": %r,\n      "xi": %r\n    }')
 
 # f"{v:.17g}" in numpy.  A finite nonzero |v| with decimal exponent X has the 17
 # digits D = rint(T), T = |v| 10^s, s = 16 - X.  T is formed as p + t from a
@@ -205,19 +202,24 @@ def write_csv(path, comments, columns, rows) -> None:
 
 def write_json(path, doc, points=None) -> None:
     """Write the bytes of ``json.dump(doc, fh, indent=2, sort_keys=True)`` and
-    "\\n", numpy scalars as floats.  ``points``, rows of (a, b, c, lambda, xi) of
-    a dispersion table, are the objects of a last key "points", CHUNK_ROWS rows
-    per "%" of ``_JSON_POINT``; doc then holds a key, and each sorts before it."""
+    "\\n", numpy scalars as floats.  ``points`` maps keys to float columns of one
+    length; row i is the object {key: column[i]} of a last key "points", written
+    CHUNK_ROWS rows per "%" of one template of the sorted keys; doc then holds a
+    key, and each sorts before it."""
     text = json.dumps(doc, indent=2, sort_keys=True, default=float)
     with open(path, "w") as fh:
         if points is None:
             fh.write(text + "\n")
             return
+        keys = sorted(points)
+        rows = np.column_stack([points[k] for k in keys])
+        fields = ",\n".join(f"      {json.dumps(k)}: %r" for k in keys)
+        entry = ",\n    {\n" + fields + "\n    }"  # one point at indent 2, comma first
         fh.write(text[:-2] + ',\n  "points": [')  # reopen the doc's closing "\n}"
-        for start in range(0, len(points), CHUNK_ROWS):
-            chunk = points[start:start + CHUNK_ROWS]
-            text = (_JSON_POINT * len(chunk)) % tuple(chunk.ravel().tolist())
+        for start in range(0, len(rows), CHUNK_ROWS):
+            chunk = rows[start:start + CHUNK_ROWS]
+            text = (entry * len(chunk)) % tuple(chunk.ravel().tolist())
             # repr is json's float form except for the non-finite values
             text = text.replace("nan", "NaN").replace("inf", "Infinity")
             fh.write(text[1:] if start == 0 else text)  # no comma before the first
-        fh.write("\n  ]\n}\n" if len(points) else "]\n}\n")
+        fh.write("\n  ]\n}\n" if len(rows) else "]\n}\n")

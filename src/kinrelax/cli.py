@@ -74,6 +74,12 @@ def _bool(value) -> bool:  # bool("false") is True
     return value
 
 
+def _str(value) -> str:  # str(None) is "None", a directory name
+    if not isinstance(value, str):
+        raise TypeError(f"expected a JSON string, got {value!r}")
+    return value
+
+
 def _times(value) -> list:
     if not isinstance(value, (list, tuple)):
         raise TypeError("times must be a list of numbers")
@@ -96,9 +102,9 @@ SCHEMA = {
     "profile": ({"name": "gaussian-bump", "sigma": 0.18, "center": 0.45,
                  "amplitude": 1.0}, _profile),
     "times": ([0.5, 1.0, 2.0, 5.0], _times),
-    "method": ("exact", str),
+    "method": ("exact", _str),
     "seed": (1234, _int),
-    "out": ("out", str),
+    "out": ("out", _str),
     "xi_min": (DEFAULT_XI_MIN, _real),
     "edge_margin": (DEFAULT_EDGE_MARGIN, _real),
     "dispersion_samples": (200, _int),
@@ -237,14 +243,20 @@ def cmd_dispersion(config: RunConfig, out: Path) -> int:
 
 
 def cmd_build_gds(config: RunConfig, out: Path) -> int:
+    tags = {}  # file tag -> time: times that share a tag would share their files
+    for t in config.times:
+        if _tag(t) in tags:
+            raise ValueError(f"times {tags[_tag(t)]!r} and {t!r} share the file tag "
+                             f"{_tag(t)!r}; give build-gds distinct times that differ "
+                             "in their first six significant digits")
+        tags[_tag(t)] = t
     grid = build_grid(config.n_velocity)
     rho0 = _make_profile(config)
     table = _table_for(config, rho0)
-    for t in config.times:
+    for tag, t in tags.items():
         rho_t = evolve_density(rho0, t, table)
         state = lift_to_kinetic(rho_t, table, grid)
         snap = to_physical(state, config.x_points, include_f=config.include_kinetic)
-        tag = _tag(t)
         write_csv(out / f"spectral_t{tag}.csv", ("xi", "re_rho_hat", "im_rho_hat"),
                   np.column_stack([rho_t.xi_grid, rho_t.rho_hat.real, rho_t.rho_hat.imag]),
                   config, extra_meta=(f"time={t:.17g}",))
@@ -465,11 +477,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         config = resolve_config(args)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    out = Path(config.out)
-    try:
+        out = Path(config.out)
         out.mkdir(parents=True, exist_ok=True)
         return COMMANDS[args.command](config, out)
     except OSError as exc:  # an artifact path that cannot be created or written
@@ -477,7 +485,7 @@ def main(argv=None) -> int:
               f"{exc.strerror or exc}", file=sys.stderr)
         return 2
     except ValueError as exc:
-        # validation raised after resolution (band, stability, grid shape, ...)
+        # a ConfigError, or validation raised after resolution (band, stability, ...)
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # a fault of the program, not of its input or a check

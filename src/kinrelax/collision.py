@@ -49,8 +49,7 @@ def check_negative_semidefinite(f, grid: VelocityGrid):
     return inner_product_phi(f.real, apply_collision(f.real, grid), grid)
 
 
-def operator_norm_bound_check(grid: VelocityGrid, samples: int = 1000,
-                              seed: int = 0) -> float:
+def operator_norm_bound_check(grid: VelocityGrid, samples: int, seed: int) -> float:
     """Max of ||C f||_phi / ||f||_phi over random complex draws.
 
     Bounded by 2; the projection structure actually keeps it at 1.  Draw i

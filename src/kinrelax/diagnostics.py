@@ -125,8 +125,9 @@ def continuity_residual(before: FieldSnapshot, center: FieldSnapshot,
     )
 
 
-def spectral_continuity_residual(rho: SpectralDensity, table: DispersionTable,
-                                 tolerance: float = 1e-12) -> ResidualReport:
+def spectral_continuity_residual(
+        rho: SpectralDensity, table: DispersionTable,
+        tolerance: float = Tolerances.spectral_continuity) -> ResidualReport:
     """Per-mode |lam*rho_hat + i*xi*k*rho_hat| with k = a*i (identically ~0)."""
     idx = rho.active_indices()
     xi = rho.xi_grid[idx]
@@ -182,7 +183,8 @@ def direct_unit_modes(rho0: SpectralDensity, table: DispersionTable,
 
 def compare_gds_direct(rho0: SpectralDensity, times, table: DispersionTable,
                        grid: VelocityGrid, method: str = "exact-dense",
-                       tolerance: float = 1e-6, lambda_offset: float = 0.0) -> ResidualReport:
+                       tolerance: float = Tolerances.gds_vs_direct,
+                       lambda_offset: float = 0.0) -> ResidualReport:
     """Per-mode, per-time relative error between the closed-form density
     exp(lam t) rho0_hat and the directly integrated mode density.
 

@@ -35,7 +35,6 @@ import numpy as np
 from . import artifacts
 from .quadrature import SQRT_PI, VelocityGrid, adaptive_phi_integral
 
-BAND_EDGE = SQRT_PI
 DEFAULT_XI_MIN = 1e-6
 DEFAULT_EDGE_MARGIN = 1e-6
 XI_RESIDUAL_TOL = 1e-11
@@ -122,13 +121,13 @@ def c_of_xi(xi, *, xi_min: float = DEFAULT_XI_MIN,
     xi = np.asarray(xi, dtype=float)
     shape, xi = xi.shape, xi.ravel()
     x = np.abs(xi)
-    outside = ~((x > 0.0) & (x < BAND_EDGE))
+    outside = ~((x > 0.0) & (x < SQRT_PI))
     if np.any(outside):
         raise UnsupportedFrequencyError(
             f"xi={float(xi[outside][0])!r} is outside the open band 0 < |xi| < sqrt(pi) "
-            f"~ {BAND_EDGE:.9f}; the density spectrum is identically zero there"
+            f"~ {SQRT_PI:.9f}; the density spectrum is identically zero there"
         )
-    near = (x < xi_min) | (x > BAND_EDGE - edge_margin)
+    near = (x < xi_min) | (x > SQRT_PI - edge_margin)
     if np.any(near):
         warnings.warn(
             f"{np.count_nonzero(near)} near-edge frequencies (first xi="
@@ -261,7 +260,8 @@ class DispersionTable:
         """The format version, the metadata and one "points" object per row."""
         artifacts.write_json(path, {"format_version": TABLE_FORMAT_VERSION,
                                     "metadata": self.metadata},
-                             np.column_stack([self.a, self.b, self.c, self.lam, self.xi]))
+                             {"xi": self.xi, "c": self.c, "b": self.b, "a": self.a,
+                              "lambda": self.lam})
 
 
 def build_table(xi_values, *, xi_min: float = DEFAULT_XI_MIN,

@@ -28,8 +28,6 @@ from numpy.fft import ifft
 from .dispersion import SQRT_PI, DispersionTable, transfer_function
 from .quadrature import VelocityGrid
 
-DEFAULT_TRUNCATION = 0.95 * SQRT_PI
-
 PROFILE_NAMES = ("gaussian-bump", "hann-band", "single-mode")
 
 
@@ -86,15 +84,6 @@ class SpectralDensity:
         xi.setflags(write=False)
         rho.setflags(write=False)
 
-    @property
-    def dxi(self) -> float:
-        return float(self.xi_grid[1] - self.xi_grid[0])
-
-    @property
-    def domain_length(self) -> float:
-        """Periodic domain length matched to the grid: L = 2*pi/dxi."""
-        return 2.0 * math.pi / self.dxi
-
     def active_indices(self) -> np.ndarray:
         return np.nonzero(self.rho_hat)[0]
 
@@ -102,9 +91,8 @@ class SpectralDensity:
         return self.xi_grid[self.active_indices()]
 
 
-def make_band_limited_density(profile: str, *, xi_max: float = DEFAULT_TRUNCATION,
-                              modes: int = 128, amplitude: float = 1.0,
-                              sigma: float | None = None,
+def make_band_limited_density(profile: str, *, xi_max: float, modes: int,
+                              amplitude: float = 1.0, sigma: float | None = None,
                               center: float | None = None,
                               xi0: float | None = None) -> SpectralDensity:
     """Admissible band-limited density spectrum at t = 0.

@@ -89,19 +89,22 @@ def test_config_rejections(bad):
     {"xi_max": True}, {"dt": "0.01"}, {"times": [True, 2]},
     {"profile": {"name": "gaussian-bump", "sigma": True}},
     {"tolerances": {"gds_vs_direct": True}}, {"tolerances": []},
+    {"out": None}, {"out": 7}, {"out": {"a": 1}}, {"method": None}, {"method": 7},
 ])
-def test_typed_keys_take_only_json_booleans_and_integers(tmp_path, capsys, bad):
+def test_typed_keys_take_only_json_booleans_and_integers(tmp_path, capsys, monkeypatch,
+                                                         bad):
     # bool("false") turned the kinetic export on, int(10.9) ran 10 modes under a
-    # hash that recorded 10.9, float(True) ran xi_max 1.0, and [] meant the
-    # default tolerances
+    # hash that recorded 10.9, float(True) ran xi_max 1.0, [] meant the default
+    # tolerances, and str() wrote {"out": null} into ./None
     (key, value), = bad.items()
     with pytest.raises(ConfigError, match=f"{key!r}: expected a JSON"):
         RunConfig.from_dict(bad)
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(bad))
-    assert run(["dispersion", "--config", cfg, "--out", tmp_path / "o"]) == 2
+    monkeypatch.chdir(tmp_path)  # no --out: it would override the file's out
+    assert run(["dispersion", "--config", cfg]) == 2
     assert f"config error: invalid config value for {key!r}" in capsys.readouterr().err
-    assert not (tmp_path / "o").exists()
+    assert list(tmp_path.iterdir()) == [cfg]  # no ./out, no ./None
 
 
 def test_typed_keys_keep_their_json_values():
@@ -179,6 +182,21 @@ def test_cmd_build_gds(tmp_path):
     header, spectral = read_csv(out / "spectral_t1.csv")
     assert header == ["xi", "re_rho_hat", "im_rho_hat"]
     assert len(spectral) == 21  # 2*modes + 1
+
+
+@pytest.mark.parametrize("times, named", [("1.0000001,1.0000002", "1.0000001 and 1.0000002"),
+                                          ("2,2", "2.0 and 2.0")])
+def test_build_gds_times_that_share_a_file_tag_are_a_config_error(tmp_path, capsys, times,
+                                                                  named):
+    # files are tagged f"{t:g}", six digits: the second time's files overwrote the
+    # first's, and build-gds exited 0 reporting twice the files it left
+    args = ["--times", times, "--modes", "4", "--x-points", "16"]
+    assert run(["build-gds", *args, "--out", tmp_path / "gds"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: times {named} share the file tag ")
+    assert err.count("\n") == 1 and not list((tmp_path / "gds").iterdir())
+    # compare writes no file per time: its rows follow the given times
+    assert run(["compare", *args, "--out", tmp_path / "cmp"]) == 0
 
 
 def test_cmd_build_gds_kinetic_export(tmp_path):

@@ -196,7 +196,7 @@ def test_single_mode_gives_pure_cosine(grid):
     rho0, table = small_setup("single-mode", xi_max=0.8, modes=16, xi0=0.4)
     snap = to_physical(lift_to_kinetic(rho0, table, grid), 128)
     xi0 = 0.4
-    L = rho0.domain_length
+    L = 2.0 * math.pi / (rho0.xi_grid[1] - rho0.xi_grid[0])
     expected = (2.0 / L) * np.cos(xi0 * snap.x_grid)
     assert np.max(np.abs(snap.rho - expected)) < 1e-12 * (2.0 / L)
 
@@ -205,7 +205,7 @@ def test_single_mode_flux_profile(grid):
     rho0, table = small_setup("single-mode", xi_max=0.8, modes=16, xi0=0.4)
     a = float(table.a[table.index_of(0.4)])
     snap = to_physical(lift_to_kinetic(rho0, table, grid), 128)
-    L = rho0.domain_length
+    L = 2.0 * math.pi / (rho0.xi_grid[1] - rho0.xi_grid[0])
     expected = -(2.0 * a / L) * np.sin(0.4 * snap.x_grid)
     assert np.max(np.abs(snap.flux - expected)) < 1e-12 * (2.0 * abs(a) / L)
 
@@ -223,7 +223,8 @@ def test_parseval_consistency(grid):
     state = lift_to_kinetic(rho0, table, grid)
     snap = to_physical(state, 128)
     physical = np.sum(snap.rho**2) * snap.dx
-    spectral = np.sum(np.abs(state.density()) ** 2) / rho0.domain_length
+    L = 2.0 * math.pi / (rho0.xi_grid[1] - rho0.xi_grid[0])
+    spectral = np.sum(np.abs(state.density()) ** 2) / L
     assert abs(physical - spectral) < 1e-9 * spectral
 
 
@@ -254,7 +255,7 @@ def test_molecular_matrix_matches_per_column_transforms(grid):
     x_points, modes = 64, 12
     snap = to_physical(state, x_points, include_f=True)
     # reference: one inverse FFT per velocity column, bins filled one by one
-    L = rho0.domain_length
+    L = 2.0 * math.pi / (rho0.xi_grid[1] - rho0.xi_grid[0])
     ref = np.empty((x_points, grid.order))
     for jv in range(grid.order):
         packed = np.zeros(x_points, dtype=complex)

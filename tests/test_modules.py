@@ -131,10 +131,10 @@ PUBLIC = {
     "inner_product_phi", "moment", "norm_phi",
     "apply_collision", "check_mass_conservation", "check_negative_semidefinite",
     "check_self_adjoint", "collision_matrix", "operator_norm_bound_check",
-    "BAND_EDGE", "DispersionTable", "UnsupportedFrequencyError", "build_table", "c_of_xi",
+    "DispersionTable", "UnsupportedFrequencyError", "build_table", "c_of_xi",
     "transfer_function", "xi_of_c", "xi_of_c_quadrature",
     "ModeOperator", "ModeTrajectory", "default_rk4_dt", "evolve_mode", "rk4_stability_limit",
-    "DEFAULT_TRUNCATION", "FieldSnapshot", "KineticStateSpectral", "SpectralDensity",
+    "FieldSnapshot", "KineticStateSpectral", "SpectralDensity",
     "evolve_density", "lift_to_kinetic", "make_band_limited_density", "to_physical",
     "ResidualReport", "Tolerances", "compare_gds_direct", "continuity_residual",
     "spectral_continuity_residual",
