@@ -221,6 +221,17 @@ def _tag(t: float) -> str:
     return f"{t:g}".replace(".", "p").replace("-", "m")
 
 
+def _file_tags(values, what: str) -> dict:
+    """File tag -> value; values that share a tag would share their files."""
+    tags = {}
+    for x in values:
+        if _tag(x) in tags:
+            raise ValueError(f"{what} {tags[_tag(x)]!r} and {x!r} share the file tag "
+                             f"{_tag(x)!r}; they must differ in six significant digits")
+        tags[_tag(x)] = x
+    return tags
+
+
 def cmd_dispersion(config: RunConfig, out: Path) -> int:
     xi = np.concatenate([np.linspace(0.01, SQRT_PI - 1e-3, config.dispersion_samples),
                          REFERENCE_CURVE_XI])
@@ -243,13 +254,7 @@ def cmd_dispersion(config: RunConfig, out: Path) -> int:
 
 
 def cmd_build_gds(config: RunConfig, out: Path) -> int:
-    tags = {}  # file tag -> time: times that share a tag would share their files
-    for t in config.times:
-        if _tag(t) in tags:
-            raise ValueError(f"times {tags[_tag(t)]!r} and {t!r} share the file tag "
-                             f"{_tag(t)!r}; give build-gds distinct times that differ "
-                             "in their first six significant digits")
-        tags[_tag(t)] = t
+    tags = _file_tags(config.times, "times")
     grid = build_grid(config.n_velocity)
     rho0 = _make_profile(config)
     table = _table_for(config, rho0)
@@ -280,17 +285,17 @@ def cmd_build_gds(config: RunConfig, out: Path) -> int:
 def cmd_solve_direct(config: RunConfig, out: Path) -> int:
     grid = build_grid(config.n_velocity)
     rho0 = _make_profile(config)
+    tags = _file_tags(rho0.active_frequencies().tolist(), "active frequencies")
     table = _table_for(config, rho0)
     traj_dir = out / "trajectories"
     traj_dir.mkdir(parents=True, exist_ok=True)
     times = output_times(config.t_final, config.dt, config.output_stride)
     unit, dist = direct_unit_modes(rho0, table, grid, times,
                                    method=config.solver_method, dt=config.dt)
-    active = rho0.active_indices()
-    d = (rho0.rho_hat[active] * unit).T  # (modes, times)
+    d = (rho0.rho_hat[rho0.active_indices()] * unit).T  # (modes, times)
     rows = np.stack([np.broadcast_to(times, d.shape), d.real, d.imag, dist.T], axis=-1)
-    for xi, text in zip(rho0.xi_grid[active].tolist(), artifacts.render_each(rows)):
-        write_csv(traj_dir / f"mode_{_tag(xi)}.csv",
+    for (tag, xi), text in zip(tags.items(), artifacts.render_each(rows)):
+        write_csv(traj_dir / f"mode_{tag}.csv",
                   ("t", "re_rho_hat", "im_rho_hat", "gds_distance"), text, config,
                   extra_meta=(f"xi={xi:.17g}", f"method={config.solver_method}"))
     print(f"solve-direct: wrote {unit.shape[1]} mode trajectories to {traj_dir}")

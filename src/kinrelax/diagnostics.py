@@ -129,10 +129,9 @@ def spectral_continuity_residual(
         rho: SpectralDensity, table: DispersionTable,
         tolerance: float = Tolerances.spectral_continuity) -> ResidualReport:
     """Per-mode |lam*rho_hat + i*xi*k*rho_hat| with k = a*i (identically ~0)."""
-    idx = rho.active_indices()
-    xi = rho.xi_grid[idx]
-    j = table.index_of(xi)
-    residual = np.abs((table.lam[j] + 1j * xi * (1j * table.a[j])) * rho.rho_hat[idx])
+    idx, j = rho.active_indices(), rho.rows_in(table)
+    residual = np.abs((table.lam[j] + 1j * rho.xi_grid[idx] * (1j * table.a[j]))
+                      * rho.rho_hat[idx])
     return ResidualReport(
         name="spectral-continuity",
         residuals=residual,
@@ -161,24 +160,24 @@ def direct_unit_modes(rho0: SpectralDensity, table: DispersionTable,
     """Direct densities and ray distances, (len(times), active modes) each, of
     every active mode started from its transfer function at unit amplitude.
 
-    Only xi > 0 is integrated (``direct.propagate``, BLOCK states at a
-    time); a mode at -xi takes the complex conjugate, which is exact as
-    A(-xi) = conj(A(xi)) on the symmetric velocity grid.
+    Only the upper half, xi > 0, of the active rows (``SpectralDensity.rows_in``)
+    is integrated (``direct.propagate``, BLOCK states at a time); the support is
+    symmetric, so the lower half mirrors it, conjugated: A(-xi) = conj(A(xi))
+    exactly on the symmetric velocity grid.
     """
-    idx = rho0.active_indices()
-    partner = np.where(rho0.xi_grid[idx] > 0, idx, len(rho0.xi_grid) - 1 - idx)
-    positive, row = np.unique(partner, return_inverse=True)  # grid is symmetric
-    xi_pos = rho0.xi_grid[positive]
-    lift = transfer_function(table, grid)[table.index_of(xi_pos)]
-    dens = np.empty((len(times), len(positive)), dtype=complex)
-    dist = np.empty((len(times), len(positive)))
-    for lo in range(0, len(positive), BLOCK):
+    rows = rho0.rows_in(table)
+    rows = rows[len(rows) // 2:]
+    xi, lift = table.xi[rows], transfer_function(table, grid)[rows]
+    dens = np.empty((len(times), len(rows)), dtype=complex)
+    dist = np.empty((len(times), len(rows)))
+    for lo in range(0, len(rows), BLOCK):
         blk = slice(lo, lo + BLOCK)
-        states = propagate(lift[blk], xi_pos[blk], grid, times, method=method, dt=dt)
+        states = propagate(lift[blk], xi[blk], grid, times, method=method, dt=dt)
         dens[:, blk] = states @ grid.weights
         dist[:, blk] = distance_to_ray(states, lift[blk], grid)
         del states  # free before the next block is integrated
-    return np.where(rho0.xi_grid[idx] < 0, dens[:, row].conj(), dens[:, row]), dist[:, row]
+    return (np.concatenate([dens[:, ::-1].conj(), dens], axis=1),
+            np.concatenate([dist[:, ::-1], dist], axis=1))
 
 
 def compare_gds_direct(rho0: SpectralDensity, times, table: DispersionTable,
@@ -190,8 +189,9 @@ def compare_gds_direct(rho0: SpectralDensity, times, table: DispersionTable,
 
     The direct side (``direct_unit_modes``) integrates the dense mode ODE
     by scaling and squaring for 'exact-dense' or by stepping for 'rk4'; it
-    never touches the dispersion solve.  Residuals run mode by mode in
-    grid order, times in the given order.  ``lambda_offset`` corrupts the
+    never touches the dispersion solve.  ``table`` must hold every active
+    frequency (KeyError otherwise).  Residuals run mode by mode in grid
+    order, times in the given order.  ``lambda_offset`` corrupts the
     closed-form rate on purpose, for sensitivity checks.
     """
     times = np.asarray(times, dtype=float)
@@ -204,7 +204,7 @@ def compare_gds_direct(rho0: SpectralDensity, times, table: DispersionTable,
     unit, _ = direct_unit_modes(rho0, table, grid, times, method=method)
     xi = rho0.xi_grid[idx]
     amp = rho0.rho_hat[idx][:, None]
-    rho_closed = amp * np.exp((table.lam[table.index_of(xi)][:, None] + lambda_offset)
+    rho_closed = amp * np.exp((table.lam[rho0.rows_in(table)][:, None] + lambda_offset)
                               * times)
     residuals = np.abs(amp * unit.T - rho_closed) / np.abs(amp)
     m, j = np.unravel_index(np.argmax(residuals), residuals.shape)  # first maximum

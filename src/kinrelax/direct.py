@@ -219,16 +219,6 @@ def _power(P, n: int) -> np.ndarray:
     return power
 
 
-@dataclass(frozen=True)
-class ModeTrajectory:
-    """States and densities of one mode recorded along the integration."""
-
-    xi: float
-    times: np.ndarray
-    states: np.ndarray     # (n_out, grid order), complex
-    densities: np.ndarray  # (n_out,), <f(t), 1>_phi
-
-
 def output_times(t_final: float, dt: float, output_stride: int = 1) -> np.ndarray:
     """Recorded instants of a fixed-step run, float64: every output_stride-th
     multiple of dt from 0, plus t_final, which must be a positive integer
@@ -244,17 +234,3 @@ def output_times(t_final: float, dt: float, output_stride: int = 1) -> np.ndarra
         raise ValueError(f"t_final={t_final!r} is not an integer multiple of dt={dt!r}")
     steps = np.arange(0.0, n_steps + 1.0, min(output_stride, n_steps))
     return np.append(steps[steps != n_steps], n_steps) * dt  # np.union1d imports numpy.ma
-
-
-def evolve_mode(f0, xi: float, grid: VelocityGrid, t_final: float, dt: float,
-                method: str = "exact-dense", output_stride: int = 1) -> ModeTrajectory:
-    """Step one mode by dt to t_final, recording every output_stride-th state.
-
-    t_final must be an integer multiple of dt.  The density <f, 1>_phi is
-    recorded at each output time.
-    """
-    times = output_times(t_final, dt, output_stride)
-    states = propagate(as_grid_array(f0, grid)[None], [xi], grid, times,
-                       method=method, dt=dt)[:, 0]
-    return ModeTrajectory(xi=xi, times=times, states=states,
-                          densities=states @ grid.weights)

@@ -224,23 +224,6 @@ class DispersionTable:
     def __len__(self) -> int:
         return int(self.xi.shape[0])
 
-    def index_of(self, xi_value):
-        """Index of the stored frequency nearest xi_value, matching it to ~1e-12.
-
-        A scalar gives an int and an array an index array of its shape.  A
-        frequency missing from the table raises KeyError naming the first.
-        """
-        x = np.asarray(xi_value, dtype=float)
-        stored = np.append(self.xi, np.inf)  # stored[-1] never matches a finite xi
-        hi = np.searchsorted(self.xi, x)
-        j = np.where(np.abs(stored[hi - 1] - x) <= np.abs(stored[hi] - x), hi - 1, hi)
-        missing = ~(np.abs(stored[j] - x) <= 1e-12 * np.maximum(1.0, np.abs(x)))
-        if np.any(missing):
-            raise KeyError(f"dispersion table has no entry for xi="
-                           f"{float(x[missing][0])!r}; rebuild the table over the "
-                           "active frequencies")
-        return j if j.ndim else int(j)
-
     def to_csv(self, path) -> None:
         """Write (xi, c, b, lambda) rows at 17 significant digits after one
         ``# key=value`` line per metadata item, which must read back: no line

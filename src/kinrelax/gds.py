@@ -32,6 +32,8 @@ PROFILE_NAMES = ("gaussian-bump", "hann-band", "single-mode")
 
 
 def _real_checked(values: np.ndarray, what: str, tol: float = 1e-10) -> np.ndarray:
+    if not np.all(np.isfinite(values)):
+        raise ValueError(f"{what} is not finite; lower the spectrum's amplitude")
     scale = float(np.max(np.abs(values))) or 1.0
     worst = float(np.max(np.abs(values.imag)))
     if worst > tol * scale:
@@ -46,9 +48,9 @@ def _real_checked(values: np.ndarray, what: str, tol: float = 1e-10) -> np.ndarr
 class SpectralDensity:
     """Band-limited density spectrum on a uniform symmetric frequency grid.
 
-    Hermitian symmetry (real physical density) and the support condition
-    (zero at the zero frequency and at any |xi| >= sqrt(pi)) are enforced
-    at construction.
+    Hermitian symmetry (real physical density, on a mirror-symmetric support)
+    and the support condition (zero at xi = 0 and at any |xi| >= sqrt(pi))
+    are enforced at construction.
     """
 
     xi_grid: np.ndarray
@@ -70,8 +72,10 @@ class SpectralDensity:
         if not np.all(np.isfinite(rho)):  # a nan passes every comparison below
             raise ValueError("spectrum samples must be finite")
         scale = max(1.0, float(np.max(np.abs(rho))))
-        if np.max(np.abs(rho - np.conj(rho[::-1]))) > 1e-12 * scale:
-            raise ValueError("spectrum must be Hermitian: rho(-xi) = conj(rho(xi))")
+        if (np.max(np.abs(rho - np.conj(rho[::-1]))) > 1e-12 * scale
+                or not np.array_equal(rho != 0.0, rho[::-1] != 0.0)):
+            raise ValueError("spectrum must be Hermitian: rho(-xi) = conj(rho(xi)), and "
+                             "zero exactly where its mirror is")
         center = len(xi) // 2
         if rho[center] != 0.0:
             raise ValueError("zero-frequency sample must vanish (admissible band "
@@ -89,6 +93,17 @@ class SpectralDensity:
 
     def active_frequencies(self) -> np.ndarray:
         return self.xi_grid[self.active_indices()]
+
+    def rows_in(self, table: DispersionTable) -> np.ndarray:
+        """Row of ``table`` per active sample, which must hold each active frequency
+        as the same float, as ``build_table(active_frequencies())`` does."""
+        xi = self.active_frequencies()
+        rows = np.searchsorted(table.xi, xi)
+        held = np.append(table.xi, np.nan)[rows]  # nan past the last row
+        if not np.array_equal(held, xi):
+            raise KeyError(f"dispersion table has no entry for xi={float(xi[held != xi][0])!r}"
+                           "; rebuild the table over the active frequencies")
+        return rows
 
 
 def make_band_limited_density(profile: str, *, xi_max: float, modes: int,
@@ -148,16 +163,16 @@ def evolve_density(rho0: SpectralDensity, t: float,
                    table: DispersionTable) -> SpectralDensity:
     """rho_hat(t0 + t, xi) = rho_hat(t0, xi) * exp(lam(xi) t) per active sample.
 
-    Every active frequency must be present in the table; a missing sample
-    raises KeyError naming it.  Negative t is allowed but amplifies modes
-    by exp(|lam| |t|) and is flagged.
+    The table must hold every active frequency (``SpectralDensity.rows_in``);
+    a missing one raises KeyError naming it.  Negative t is allowed but
+    amplifies modes by exp(|lam| |t|) and is flagged.
     """
     if t < 0:
         warnings.warn("backward evolution amplifies every mode by exp(|lam| |t|)",
                       RuntimeWarning, stacklevel=2)
     rho = rho0.rho_hat.copy()
     idx = rho0.active_indices()
-    rho[idx] = rho[idx] * np.exp(table.lam[table.index_of(rho0.xi_grid[idx])] * t)
+    rho[idx] = rho[idx] * np.exp(table.lam[rho0.rows_in(table)] * t)
     return SpectralDensity(xi_grid=rho0.xi_grid, rho_hat=rho, time=rho0.time + t)
 
 
@@ -189,8 +204,7 @@ def lift_to_kinetic(rho: SpectralDensity, table: DispersionTable,
     """f_hat(xi, .) = K_hat(xi, .) * rho_hat(xi) on the active band."""
     f_hat = np.zeros((len(rho.xi_grid), grid.order), dtype=complex)
     idx = rho.active_indices()
-    f_hat[idx] = (transfer_function(table, grid)[table.index_of(rho.xi_grid[idx])]
-                  * rho.rho_hat[idx, None])
+    f_hat[idx] = transfer_function(table, grid)[rho.rows_in(table)] * rho.rho_hat[idx, None]
     return KineticStateSpectral(xi_grid=rho.xi_grid, f_hat=f_hat, grid=grid,
                                 time=rho.time)
 

@@ -199,6 +199,40 @@ def test_build_gds_times_that_share_a_file_tag_are_a_config_error(tmp_path, caps
     assert run(["compare", *args, "--out", tmp_path / "cmp"]) == 0
 
 
+def test_file_tags_reject_values_that_share_a_tag():
+    assert cli._file_tags([0.45, -0.45, 0.450001], "xs") == {
+        "0p45": 0.45, "m0p45": -0.45, "0p450001": 0.450001}
+    with pytest.raises(ValueError, match=r"^active frequencies 0\.45 and 0\.45000036 share "
+                                         "the file tag '0p45'"):
+        cli._file_tags([0.45, 0.45 + 0.9 / 2500000], "active frequencies")
+
+
+def test_solve_direct_modes_that_share_a_file_tag_are_a_config_error(tmp_path, capsys):
+    # near xi = 1.5, f"{xi:g}" keeps five decimals and the modes lie 8.5e-6 apart:
+    # trajectory files overwrote each other, and 182 reported trajectories left 156
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"modes": 200000, "x_points": 524288, "xi_max": 1.7,
+                               "profile": {"name": "gaussian-bump", "sigma": 1e-5,
+                                           "center": 1.5}}))
+    assert run(["solve-direct", "--config", cfg, "--out", tmp_path / "o"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: active frequencies ") and "share the file tag" in err
+    assert not list((tmp_path / "o").iterdir())
+
+
+def test_build_gds_fields_that_overflow_are_a_config_error(tmp_path, capsys):
+    # finite samples whose synthesis overflows wrote inf densities and exited 0
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"profile": {"name": "gaussian-bump", "sigma": 0.18,
+                                           "center": 0.45, "amplitude": 1e308},
+                               "modes": 4, "x_points": 16}))
+    with pytest.warns(RuntimeWarning):
+        assert run(["build-gds", "--config", cfg, "--out", tmp_path / "o"]) == 2
+    assert capsys.readouterr().err == ("config error: density field is not finite; lower the "
+                                       "spectrum's amplitude\n")
+    assert not list((tmp_path / "o").glob("fields_*.csv"))
+
+
 def test_cmd_build_gds_kinetic_export(tmp_path):
     out = tmp_path / "kin"
     cfg = tmp_path / "cfg.json"

@@ -144,9 +144,9 @@ def _brute_force_residuals(rho0, table, grid, times, method):
     mode beside the fastest one, which sets the step bound of the whole band."""
     pace = np.max(rho0.active_frequencies())
     rows = []
-    for i in rho0.active_indices():
+    for j, i in enumerate(rho0.active_indices()):  # the table holds the active modes
         xi, amp = rho0.xi_grid[i], rho0.rho_hat[i]
-        j = table.index_of(xi)
+        assert table.xi[j] == xi
         f0 = transfer_function(table, grid)[j] * amp
         if method == "exact-dense":
             dense = nodal_generator(ModeOperator(xi=xi, grid=grid))

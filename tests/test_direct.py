@@ -9,8 +9,8 @@ from helpers import fit_convergence_order
 from kinrelax.diagnostics import distance_to_ray
 from kinrelax import direct, dispersion, quadrature
 from kinrelax.direct import (ModeOperator, _parity_generator, _power, default_rk4_dt,
-                             evolve_mode, from_parity, output_times, propagate,
-                             rk4_stability_limit, to_parity)
+                             from_parity, output_times, propagate, rk4_stability_limit,
+                             to_parity)
 from kinrelax.dispersion import build_table, transfer_function
 from kinrelax.quadrature import build_grid, inner_product_phi, moment, norm_phi
 
@@ -33,6 +33,12 @@ def transfer(xi, grid):
 def one_step(f, xi, grid, dt, method):
     """One mode state advanced by one step dt."""
     return propagate(f[None], [xi], grid, [dt], method=method, dt=dt)[0, 0]
+
+
+def trajectory(f0, xi, grid, t_final, dt, method="exact-dense", output_stride=1):
+    """Output times of a fixed-step run of one mode and its states there."""
+    times = output_times(t_final, dt, output_stride)
+    return times, propagate(f0[None], [xi], grid, times, method=method, dt=dt)[:, 0]
 
 
 def test_apply_matches_dense(grid):
@@ -88,36 +94,32 @@ def test_rk4_fourth_order_convergence(grid):
     rng = np.random.default_rng(42)
     f0 = rng.standard_normal(64) + 1j * rng.standard_normal(64)
     xi = 1.0
-    ref = evolve_mode(f0, xi, grid, t_final=1.0, dt=1.0, method="exact-dense").states[-1]
+    ref = trajectory(f0, xi, grid, t_final=1.0, dt=1.0, method="exact-dense")[1][-1]
     dts = (0.02, 0.01, 0.005)
     errs = []
     for dt in dts:
-        out = evolve_mode(f0, xi, grid, t_final=1.0, dt=dt, method="rk4",
-                          output_stride=10**9).states[-1]
+        out = trajectory(f0, xi, grid, t_final=1.0, dt=dt, method="rk4",
+                         output_stride=10**9)[1][-1]
         errs.append(np.max(np.abs(out - ref)))
     for coarse, fine in zip(errs, errs[1:]):
         assert 16.0 * 0.8 < coarse / fine < 16.0 * 1.2
     assert 3.7 < fit_convergence_order(dts, errs) < 4.3
 
 
-def test_evolve_mode_records_density(grid):
+def test_propagate_records_density_at_output_times(grid):
     f0 = np.ones(64, dtype=complex)
-    traj = evolve_mode(f0, 0.4, grid, t_final=0.5, dt=0.01, output_stride=5)
-    assert traj.times[0] == 0.0
-    assert traj.times[-1] == pytest.approx(0.5)
-    assert traj.densities[0] == pytest.approx(1.0)
-    assert traj.states.shape[1] == 64
-
-
-def test_evolve_mode_rejects_misaligned_final_time(grid):
-    with pytest.raises(ValueError, match="multiple"):
-        evolve_mode(np.ones(64, dtype=complex), 0.4, grid, t_final=0.55, dt=0.1)
+    times, states = trajectory(f0, 0.4, grid, t_final=0.5, dt=0.01, output_stride=5)
+    assert times[0] == 0.0
+    assert times[-1] == pytest.approx(0.5)
+    assert states.shape == (11, 64)
+    assert states[0] @ grid.weights == pytest.approx(1.0)
 
 
 @pytest.mark.parametrize("t_final, dt, message", [
     (1e308, 1e-300, "not finite"),  # int(round(inf)): an OverflowError
     (5.0, 1e-320, "not finite"),
     (1e-10, 0.01, "rounds to no step"),  # recorded t = 0 alone, never t_final
+    (0.55, 0.1, "multiple"),
 ])
 def test_output_times_rejects_step_counts_that_are_not_a_positive_number(t_final, dt,
                                                                          message):
@@ -140,13 +142,14 @@ def test_mass_flux_identity_along_trajectory(grid):
     # smooth (slow-mode) data so the central time difference resolves d(rho)/dt
     xi = 0.6
     K = transfer(xi, grid)
-    traj = evolve_mode(K, xi, grid, t_final=0.2, dt=0.002)
+    times, states = trajectory(K, xi, grid, t_final=0.2, dt=0.002)
+    densities = states @ grid.weights
     v = grid.nodes
     ones = np.ones(64)
-    dt = traj.times[1] - traj.times[0]
-    for n in range(1, len(traj.times) - 1):
-        drho = (traj.densities[n + 1] - traj.densities[n - 1]) / (2.0 * dt)
-        flux = inner_product_phi(v * traj.states[n], ones, grid)
+    dt = times[1] - times[0]
+    for n in range(1, len(times) - 1):
+        drho = (densities[n + 1] - densities[n - 1]) / (2.0 * dt)
+        flux = inner_product_phi(v * states[n], ones, grid)
         assert abs(drho + 1j * xi * flux) < 1e-7
 
 
@@ -154,8 +157,7 @@ def test_flat_initial_data_is_not_a_pure_exponential(grid):
     # two-point exponential fit fails to reproduce the midpoint
     xi = 1.0
     f0 = np.ones(64, dtype=complex)
-    traj = evolve_mode(f0, xi, grid, t_final=1.0, dt=0.5)
-    rho0, rho_mid, rho_end = traj.densities
+    rho0, rho_mid, rho_end = trajectory(f0, xi, grid, t_final=1.0, dt=0.5)[1] @ grid.weights
     mu = np.log(rho_end / rho0) / 1.0
     deviation = abs(rho_mid - rho0 * np.exp(mu * 0.5)) / abs(rho0)
     assert deviation > 1e-3
@@ -197,10 +199,10 @@ def test_negative_frequency_is_exact_conjugate(grid, method):
     # the grid is exactly symmetric, so A(-xi) = conj(A(xi)) bitwise
     rng = np.random.default_rng(5)
     f0 = rng.standard_normal(64) + 1j * rng.standard_normal(64)
-    pos = evolve_mode(f0, 0.7, grid, t_final=0.5, dt=0.01, method=method)
-    neg = evolve_mode(np.conj(f0), -0.7, grid, t_final=0.5, dt=0.01, method=method)
-    assert np.array_equal(neg.densities, np.conj(pos.densities))
-    assert np.array_equal(neg.states, np.conj(pos.states))
+    pos = trajectory(f0, 0.7, grid, t_final=0.5, dt=0.01, method=method)[1]
+    neg = trajectory(np.conj(f0), -0.7, grid, t_final=0.5, dt=0.01, method=method)[1]
+    assert np.array_equal(neg @ grid.weights, np.conj(pos @ grid.weights))
+    assert np.array_equal(neg, np.conj(pos))
 
 
 @pytest.mark.parametrize("method", ["rk4", "exact-dense"])

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -76,6 +77,12 @@ def test_spectrum_validation():
         SpectralDensity(xi_grid=xi, rho_hat=np.array([1, 2, 1, 2, 1.0]))
     with pytest.raises(ValueError, match="finite"):
         SpectralDensity(xi_grid=xi, rho_hat=np.array([1, np.nan, 0, np.nan, 1.0]))
+    # Hermitian to 1e-12 but one-sided: a table on exactly its active frequencies
+    # failed the lookup of the mirror modes in compare_gds_direct
+    one_sided = np.zeros(9, dtype=complex)
+    one_sided[[1, 7]], one_sided[2] = 1.0, 1e-13
+    with pytest.raises(ValueError, match="zero exactly where its mirror is"):
+        SpectralDensity(xi_grid=np.linspace(-0.8, 0.8, 9), rho_hat=one_sided)
 
 
 def test_out_of_band_samples_must_vanish():
@@ -99,7 +106,7 @@ def test_evolve_identity_at_t_zero():
 def test_single_mode_decay_rate():
     rho0, table = small_setup("single-mode", xi_max=0.8, modes=16, xi0=0.4)
     i = rho0.active_indices()[1]
-    lam = table.lam[table.index_of(rho0.xi_grid[i])]
+    lam = table.lam[rho0.rows_in(table)[1]]
     prev = abs(rho0.rho_hat[i])
     for t in (0.5, 1.0, 2.0):
         out = evolve_density(rho0, t, table)
@@ -124,6 +131,40 @@ def test_missing_table_entry_is_named():
     sparse = build_table([0.05])
     with pytest.raises(KeyError, match="rebuild"):
         evolve_density(rho0, 1.0, sparse)
+
+
+def test_rows_in_are_positions_of_the_same_floats():
+    xi = np.arange(-3, 4) * 0.3
+    rho0 = SpectralDensity(xi_grid=xi, rho_hat=np.array([0, 1, 1, 0, 1, 1, 0], dtype=complex))
+    table = build_table(xi[xi != 0.0])  # more rows than active samples
+    rows = rho0.rows_in(table)
+    assert rows.tolist() == [1, 2, 3, 4]
+    assert table.xi[rows].tobytes() == rho0.active_frequencies().tobytes()
+    # exact: a frequency one ulp off has no row; a missing one is named, in or past
+    # the table's range
+    with pytest.raises(KeyError, match="rebuild"):
+        rho0.rows_in(build_table(np.nextafter(rho0.active_frequencies(), 1.0)))
+    with pytest.raises(KeyError, match=re.escape(f"xi={float(xi[1])!r};")):
+        rho0.rows_in(build_table(xi[4:6]))
+    with pytest.raises(KeyError, match=re.escape(f"xi={float(xi[4])!r};")):
+        rho0.rows_in(build_table(xi[:3]))
+    none = SpectralDensity(xi_grid=xi, rho_hat=np.zeros(7, dtype=complex))
+    assert none.rows_in(table).shape == (0,)
+
+
+def test_lift_of_a_spectrum_that_lost_modes_reads_its_rows(grid):
+    # by t = 3000 the default profile's faint modes underflow to exactly 0, so the
+    # t = 0 table holds rows the evolved spectrum no longer has
+    rho0 = make_band_limited_density("gaussian-bump", xi_max=0.9, modes=128, sigma=0.18,
+                                     center=0.45)
+    table = build_table(rho0.active_frequencies())
+    rho_t = evolve_density(rho0, 3000.0, table)
+    assert 0 < len(rho_t.active_indices()) < len(table)
+    own = build_table(rho_t.active_frequencies())
+    assert (lift_to_kinetic(rho_t, table, grid).f_hat.tobytes()
+            == lift_to_kinetic(rho_t, own, grid).f_hat.tobytes())
+    with pytest.raises(KeyError, match="rebuild"):
+        lift_to_kinetic(rho0, own, grid)
 
 
 def test_backward_evolution_warns():
@@ -162,7 +203,7 @@ def test_hermitian_symmetry_preserved_exactly():
 def test_decay_envelope():
     rho0, table = small_setup()
     idx = rho0.active_indices()
-    lam_max = float(np.max(table.lam[table.index_of(rho0.xi_grid[idx])]))
+    lam_max = float(np.max(table.lam[rho0.rows_in(table)]))
     norm0 = np.sqrt(np.sum(np.abs(rho0.rho_hat) ** 2))
     for t in (0.5, 2.0, 5.0):
         out = evolve_density(rho0, t, table)
@@ -186,7 +227,7 @@ def test_lift_density_and_flux_consistency(grid):
     dens = state.density()
     assert np.max(np.abs(dens[idx] - rho0.rho_hat[idx])) < 1e-8
     flux = state.flux()
-    expected = 1j * table.a[table.index_of(rho0.xi_grid[idx])] * rho0.rho_hat[idx]
+    expected = 1j * table.a[rho0.rows_in(table)] * rho0.rho_hat[idx]
     assert np.max(np.abs(flux[idx] - expected)) < 1e-8
 
 
@@ -203,7 +244,7 @@ def test_single_mode_gives_pure_cosine(grid):
 
 def test_single_mode_flux_profile(grid):
     rho0, table = small_setup("single-mode", xi_max=0.8, modes=16, xi0=0.4)
-    a = float(table.a[table.index_of(0.4)])
+    a = float(table.a[rho0.rows_in(table)[1]])
     snap = to_physical(lift_to_kinetic(rho0, table, grid), 128)
     L = 2.0 * math.pi / (rho0.xi_grid[1] - rho0.xi_grid[0])
     expected = -(2.0 * a / L) * np.sin(0.4 * snap.x_grid)

@@ -133,7 +133,7 @@ PUBLIC = {
     "check_self_adjoint", "collision_matrix", "operator_norm_bound_check",
     "DispersionTable", "UnsupportedFrequencyError", "build_table", "c_of_xi",
     "transfer_function", "xi_of_c", "xi_of_c_quadrature",
-    "ModeOperator", "ModeTrajectory", "default_rk4_dt", "evolve_mode", "rk4_stability_limit",
+    "ModeOperator", "default_rk4_dt", "rk4_stability_limit",
     "FieldSnapshot", "KineticStateSpectral", "SpectralDensity",
     "evolve_density", "lift_to_kinetic", "make_band_limited_density", "to_physical",
     "ResidualReport", "Tolerances", "compare_gds_direct", "continuity_residual",
