@@ -203,9 +203,9 @@ def write_csv(path, comments, columns, rows) -> None:
 def write_json(path, doc, points=None) -> None:
     """Write the bytes of ``json.dump(doc, fh, indent=2, sort_keys=True)`` and
     "\\n", numpy scalars as floats.  ``points`` maps keys to float columns of one
-    length; row i is the object {key: column[i]} of a last key "points", written
-    CHUNK_ROWS rows per "%" of one template of the sorted keys; doc then holds a
-    key, and each sorts before it."""
+    length, as ``cli.cmd_dispersion`` passes the dispersion table's; row i is the
+    object {key: column[i]} of a last key "points", written CHUNK_ROWS rows per
+    "%" of one template of the sorted keys; doc holds a key, and each sorts before it."""
     text = json.dumps(doc, indent=2, sort_keys=True, default=float)
     with open(path, "w") as fh:
         if points is None:

@@ -30,8 +30,8 @@ from .collision import (apply_collision, check_mass_conservation,
 from .diagnostics import (Tolerances, compare_gds_direct, direct_unit_modes,
                           spectral_continuity_residual)
 from .direct import ModeOperator, output_times
-from .dispersion import (DEFAULT_EDGE_MARGIN, DEFAULT_XI_MIN, SQRT_PI, build_table,
-                         c_of_xi, transfer_function, xi_of_c, xi_of_c_quadrature)
+from .dispersion import (DEFAULT_EDGE_MARGIN, DEFAULT_XI_MIN, SQRT_PI, XI_RESIDUAL_TOL,
+                         build_table, c_of_xi, transfer_function, xi_of_c, xi_of_c_quadrature)
 from .gds import (PROFILE_NAMES, evolve_density, lift_to_kinetic,
                   make_band_limited_density, to_physical)
 from .quadrature import build_grid, gaussian_moment, moment
@@ -43,6 +43,8 @@ REFERENCE_CURVE_XI = (1.4198, 1.17853, 0.998537, 0.860816, 0.753057,
 
 # Keyword parameters of make_band_limited_density a config profile may set.
 PROFILE_PARAMS = ("amplitude", "sigma", "center", "xi0")
+
+TABLE_FORMAT_VERSION = 1  # of dispersion.csv and dispersion.json
 
 
 class ConfigError(ValueError):
@@ -212,9 +214,8 @@ def _make_profile(config: RunConfig):
                                      modes=config.modes, **params)
 
 
-def _table_for(config: RunConfig, rho0):
-    return build_table(rho0.active_frequencies(), xi_min=config.xi_min,
-                       edge_margin=config.edge_margin)
+def _table_for(config: RunConfig, xi):
+    return build_table(xi, xi_min=config.xi_min, edge_margin=config.edge_margin)
 
 
 def _tag(t: float) -> str:
@@ -235,12 +236,19 @@ def _file_tags(values, what: str) -> dict:
 def cmd_dispersion(config: RunConfig, out: Path) -> int:
     xi = np.concatenate([np.linspace(0.01, SQRT_PI - 1e-3, config.dispersion_samples),
                          REFERENCE_CURVE_XI])
-    table = build_table(np.concatenate([-xi, xi]), xi_min=config.xi_min,
-                        edge_margin=config.edge_margin,
-                        metadata=_stamp(config))
+    table = _table_for(config, np.concatenate([-xi, xi]))
     bad = table.xi[~((table.lam > -1.0) & (table.lam < 0.0))].tolist()
-    table.to_csv(out / "dispersion.csv")
-    table.to_json(out / "dispersion.json")
+    meta = {**_stamp(config), "count": len(table), "edge_margin": config.edge_margin,
+            "xi_min": config.xi_min, "xi_residual_tol": XI_RESIDUAL_TOL}
+    artifacts.write_csv(out / "dispersion.csv",
+                        [f"kinrelax dispersion table format v{TABLE_FORMAT_VERSION}",
+                         *(f"{key}={value}" for key, value in sorted(meta.items()))],
+                        ("xi", "c", "b", "lambda"),
+                        np.column_stack([table.xi, table.c, table.b, table.lam]))
+    artifacts.write_json(out / "dispersion.json",
+                         {"format_version": TABLE_FORMAT_VERSION, "metadata": meta},
+                         {"xi": table.xi, "c": table.c, "b": table.b, "a": table.a,
+                          "lambda": table.lam})
     write_json(out / "dispersion_meta.json", {
         "rows": len(table),
         "decay_rate_range_violations": bad,
@@ -257,7 +265,7 @@ def cmd_build_gds(config: RunConfig, out: Path) -> int:
     tags = _file_tags(config.times, "times")
     grid = build_grid(config.n_velocity)
     rho0 = _make_profile(config)
-    table = _table_for(config, rho0)
+    table = _table_for(config, rho0.active_frequencies())
     for tag, t in tags.items():
         rho_t = evolve_density(rho0, t, table)
         state = lift_to_kinetic(rho_t, table, grid)
@@ -286,7 +294,7 @@ def cmd_solve_direct(config: RunConfig, out: Path) -> int:
     grid = build_grid(config.n_velocity)
     rho0 = _make_profile(config)
     tags = _file_tags(rho0.active_frequencies().tolist(), "active frequencies")
-    table = _table_for(config, rho0)
+    table = _table_for(config, rho0.active_frequencies())
     traj_dir = out / "trajectories"
     traj_dir.mkdir(parents=True, exist_ok=True)
     times = output_times(config.t_final, config.dt, config.output_stride)
@@ -305,7 +313,7 @@ def cmd_solve_direct(config: RunConfig, out: Path) -> int:
 def cmd_compare(config: RunConfig, out: Path) -> int:
     grid = build_grid(config.n_velocity)
     rho0 = _make_profile(config)
-    table = _table_for(config, rho0)
+    table = _table_for(config, rho0.active_frequencies())
     report = compare_gds_direct(
         rho0, config.times, table, grid, method=config.solver_method,
         tolerance=config.tolerances.gds_vs_direct,
@@ -337,8 +345,8 @@ def _property_rows(config: RunConfig):
            tol.second_moment)
 
     z = rng.standard_normal((1000, 2, grid.order))
-    yield ("mass_conservation_max",
-           np.max(check_mass_conservation(z[:, 0] + 1j * z[:, 1], grid)),
+    states = z[:, 0] + 1j * z[:, 1]  # the operator-norm row reads them too
+    yield ("mass_conservation_max", np.max(check_mass_conservation(states, grid)),
            tol.mass_conservation)
     z = rng.standard_normal((200, 2, grid.order))
     yield ("self_adjoint_max", np.max(check_self_adjoint(z[:, 0], z[:, 1], grid)),
@@ -350,8 +358,7 @@ def _property_rows(config: RunConfig):
     const = 3.7 * np.ones(grid.order)
     yield ("constant_kernel_residual", float(np.max(np.abs(apply_collision(const, grid)))),
            tol.mass_conservation)
-    yield ("operator_norm_ratio", operator_norm_bound_check(grid, 1000, config.seed),
-           tol.operator_norm)
+    yield "operator_norm_ratio", operator_norm_bound_check(states, grid), tol.operator_norm
 
     eigvals = np.linalg.eigvals(collision_matrix(grid))
     spectrum_err = float(np.max(np.minimum(np.abs(eigvals), np.abs(eigvals + 1.0))))
@@ -365,8 +372,7 @@ def _property_rows(config: RunConfig):
            float(np.max(np.abs(cc + apply_collision(f, grid)))), tol.mass_conservation)
 
     xi = np.linspace(0.01, config.identity_band, config.identity_samples)
-    table = build_table(np.concatenate([-xi, xi]), xi_min=config.xi_min,
-                        edge_margin=config.edge_margin)
+    table = _table_for(config, np.concatenate([-xi, xi]))
     K = transfer_function(table, grid)
     pair = ModeOperator(xi=table.xi, grid=grid).apply(K) - table.lam[:, None] * K
     yield ("transfer_normalization_max", float(np.max(np.abs(K @ w - 1.0))),
@@ -391,8 +397,8 @@ def _property_rows(config: RunConfig):
            tol.closed_form_vs_quadrature)
 
     rho0 = _make_profile(config)
-    yield ("spectral_continuity_max",
-           spectral_continuity_residual(rho0, _table_for(config, rho0)).max_residual,
+    table = _table_for(config, rho0.active_frequencies())
+    yield ("spectral_continuity_max", spectral_continuity_residual(rho0, table).max_residual,
            tol.spectral_continuity)
 
 

@@ -12,7 +12,6 @@ Velocity is the last axis: the operator and every check take one vector
 """
 
 import numpy as np
-from numpy.random import default_rng
 
 from .quadrature import VelocityGrid, as_grid_array, inner_product_phi, norm_phi
 
@@ -49,15 +48,9 @@ def check_negative_semidefinite(f, grid: VelocityGrid):
     return inner_product_phi(f.real, apply_collision(f.real, grid), grid)
 
 
-def operator_norm_bound_check(grid: VelocityGrid, samples: int, seed: int) -> float:
-    """Max of ||C f||_phi / ||f||_phi over random complex draws.
+def operator_norm_bound_check(f, grid: VelocityGrid) -> float:
+    """Max of ||C f||_phi / ||f||_phi over the given nonzero states.
 
-    Bounded by 2; the projection structure actually keeps it at 1.  Draw i
-    takes its real then its imaginary part from the stream, as separate
-    size-order draws would.
+    Bounded by 2; the projection structure actually keeps it at 1.
     """
-    if samples < 1:
-        raise ValueError("samples must be >= 1")
-    z = default_rng(seed).standard_normal((samples, 2, grid.order))
-    f = z[:, 0] + 1j * z[:, 1]
     return float(np.max(norm_phi(apply_collision(f, grid), grid) / norm_phi(f, grid)))

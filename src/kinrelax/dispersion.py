@@ -28,11 +28,10 @@ window does not bracket its root is bisected over all of [0, inf].
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from . import artifacts
 from .quadrature import SQRT_PI, VelocityGrid, adaptive_phi_integral
 
 DEFAULT_XI_MIN = 1e-6
@@ -40,7 +39,7 @@ DEFAULT_EDGE_MARGIN = 1e-6
 XI_RESIDUAL_TOL = 1e-11
 NEWTON_STEPS = 4  # from the upper bound: within 7 c-widths of an ulp of Xi everywhere
 _INF_BITS = int(np.array(np.inf).view(np.int64))
-TABLE_FORMAT_VERSION = 1
+
 
 class UnsupportedFrequencyError(ValueError):
     """Frequency outside the open admissible band 0 < |xi| < sqrt(pi)."""
@@ -209,7 +208,6 @@ class DispersionTable:
     b: np.ndarray
     a: np.ndarray
     lam: np.ndarray
-    metadata: dict = field(default_factory=dict)
 
     def __post_init__(self):
         n = self.xi.shape[0]
@@ -224,32 +222,9 @@ class DispersionTable:
     def __len__(self) -> int:
         return int(self.xi.shape[0])
 
-    def to_csv(self, path) -> None:
-        """Write (xi, c, b, lambda) rows at 17 significant digits after one
-        ``# key=value`` line per metadata item, which must read back: no line
-        break, no '=' in the key, no whitespace at either end of key or value."""
-        head = [f"kinrelax dispersion table format v{TABLE_FORMAT_VERSION}"]
-        for key in sorted(self.metadata):
-            k, v = f"{key}", f"{self.metadata[key]}"
-            if "\n" in k + v or "\r" in k + v or "=" in k or k != k.strip() or v != v.strip():
-                raise ValueError(f"metadata item {key!r} holds a line break, '=' in its key "
-                                 "or whitespace at an end; its '# key=value' line would "
-                                 "not read back")
-            head.append(f"{k}={v}")
-        artifacts.write_csv(path, head, ("xi", "c", "b", "lambda"),
-                            np.column_stack([self.xi, self.c, self.b, self.lam]))
-
-    def to_json(self, path) -> None:
-        """The format version, the metadata and one "points" object per row."""
-        artifacts.write_json(path, {"format_version": TABLE_FORMAT_VERSION,
-                                    "metadata": self.metadata},
-                             {"xi": self.xi, "c": self.c, "b": self.b, "a": self.a,
-                              "lambda": self.lam})
-
 
 def build_table(xi_values, *, xi_min: float = DEFAULT_XI_MIN,
-                edge_margin: float = DEFAULT_EDGE_MARGIN,
-                metadata: dict | None = None) -> DispersionTable:
+                edge_margin: float = DEFAULT_EDGE_MARGIN) -> DispersionTable:
     """Tabulate dispersion data at the given frequencies (sorted, deduplicated)."""
     xi = np.sort(np.asarray(xi_values, dtype=float), axis=None)
     xi = xi[np.diff(xi, prepend=-np.inf) != 0.0]  # np.unique would import numpy.ma
@@ -261,8 +236,4 @@ def build_table(xi_values, *, xi_min: float = DEFAULT_XI_MIN,
         raise UnsupportedFrequencyError(
             f"b = xi*c must lie in (0, 1 - 2**-49), got {float(b[bad][0])!r} at xi="
             f"{float(xi[bad][0])!r}; lambda = b - 1 is rounding noise for |xi| < ~6e-8")
-    meta = {"xi_residual_tol": XI_RESIDUAL_TOL, "xi_min": xi_min,
-            "edge_margin": edge_margin, "count": len(xi)}
-    if metadata:
-        meta.update(metadata)
-    return DispersionTable(xi=xi, c=c, b=b, a=lam / xi, lam=lam, metadata=meta)
+    return DispersionTable(xi=xi, c=c, b=b, a=lam / xi, lam=lam)

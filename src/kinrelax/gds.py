@@ -231,10 +231,12 @@ class FieldSnapshot:
 def _synthesize(values: np.ndarray, modes: int, x_points: int, L: float) -> np.ndarray:
     # field(x_n) = (1/L) sum_j values_j exp(i xi_j x_n) along axis 0: the Riemann
     # form of the inverse transform on the periodic domain.  Mode j (index
-    # -modes..modes) goes to FFT bin j mod x_points.
+    # -modes..modes) goes to FFT bin j mod x_points.  A field that overflows is
+    # named by _real_checked, so numpy's overflow warnings are not printed too.
     packed = np.zeros((x_points,) + values.shape[1:], dtype=complex)
     packed[np.arange(-modes, modes + 1) % x_points] = values
-    return ifft(packed, axis=0) * (x_points / L)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return ifft(packed, axis=0) * (x_points / L)
 
 
 def to_physical(state: KineticStateSpectral, x_points: int,

@@ -141,7 +141,8 @@ def test_criterion_8_collision_property_suite(grid):
     # draw i of a (draws, 2, 64) stack is the pair two size-64 draws would take
     rng = np.random.default_rng(2024)
     z = rng.standard_normal((1000, 2, 64))
-    worst_mass = np.max(check_mass_conservation(z[:, 0] + 1j * z[:, 1], grid))
+    states = z[:, 0] + 1j * z[:, 1]
+    worst_mass = np.max(check_mass_conservation(states, grid))
     z = rng.standard_normal((200, 2, 64))
     f, g = z[:, 0], z[:, 1]
     worst_adj = np.max(check_self_adjoint(f, g, grid))
@@ -150,7 +151,7 @@ def test_criterion_8_collision_property_suite(grid):
     # equality only for constants: a unit-spread non-constant stays negative
     nonconst = check_negative_semidefinite(grid.nodes, grid)
 
-    ratio = operator_norm_bound_check(grid, samples=1000, seed=2024)
+    ratio = operator_norm_bound_check(states, grid)
 
     eig = np.linalg.eigvals(collision_matrix(grid))
     near_zero = np.abs(eig) < np.abs(eig + 1.0)

@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -173,6 +174,20 @@ def test_cmd_dispersion(tmp_path):
     assert (out / "dispersion.json").exists()
 
 
+def test_cmd_dispersion_writes_the_table_header(tmp_path):
+    out = tmp_path / "disp"
+    assert run(["dispersion", "--out", out]) == 0
+    lines = (out / "dispersion.csv").read_text().splitlines()
+    assert lines[:8] == ["# kinrelax dispersion table format v1", "# artifact=kinrelax 0.1.0",
+                         "# config_hash=4631ce23e07e", "# count=420", "# edge_margin=1e-06",
+                         "# xi_min=1e-06", "# xi_residual_tol=1e-11", "xi,c,b,lambda"]
+    doc = json.loads((out / "dispersion.json").read_text())
+    assert doc["format_version"] == 1
+    assert doc["metadata"] == {"artifact": "kinrelax 0.1.0", "config_hash": "4631ce23e07e",
+                               "count": 420, "edge_margin": 1e-06, "xi_min": 1e-06,
+                               "xi_residual_tol": 1e-11}
+
+
 def test_cmd_build_gds(tmp_path):
     out = tmp_path / "gds"
     assert run(["build-gds", *FAST, "--out", out]) == 0
@@ -221,12 +236,14 @@ def test_solve_direct_modes_that_share_a_file_tag_are_a_config_error(tmp_path, c
 
 
 def test_build_gds_fields_that_overflow_are_a_config_error(tmp_path, capsys):
-    # finite samples whose synthesis overflows wrote inf densities and exited 0
+    # finite samples whose synthesis overflows wrote inf densities and exited 0;
+    # then numpy's overflow warnings came before the message (exit 3 as errors)
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"profile": {"name": "gaussian-bump", "sigma": 0.18,
                                            "center": 0.45, "amplitude": 1e308},
                                "modes": 4, "x_points": 16}))
-    with pytest.warns(RuntimeWarning):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         assert run(["build-gds", "--config", cfg, "--out", tmp_path / "o"]) == 2
     assert capsys.readouterr().err == ("config error: density field is not finite; lower the "
                                        "spectrum's amplitude\n")
@@ -268,8 +285,9 @@ def test_solve_direct_files_hold_their_own_modes_rows(tmp_path, monkeypatch, chu
     assert cli.cmd_solve_direct(config, out) == 0
     rho0 = cli._make_profile(config)
     times = output_times(config.t_final, config.dt, config.output_stride)
-    unit, dist = direct_unit_modes(rho0, cli._table_for(config, rho0), build_grid(16), times,
-                                   method=config.solver_method, dt=config.dt)
+    unit, dist = direct_unit_modes(rho0, cli._table_for(config, rho0.active_frequencies()),
+                                   build_grid(16), times, method=config.solver_method,
+                                   dt=config.dt)
     for k, i in enumerate(rho0.active_indices()):  # the per-mode writer it replaced
         xi = float(rho0.xi_grid[i])
         d = rho0.rho_hat[i] * unit[:, k]
@@ -651,7 +669,7 @@ def _per_draw_reference(config):
         f = rng.standard_normal(grid.order)
         rows["negative_semidefinite_max"] = max(rows["negative_semidefinite_max"],
                                                 check_negative_semidefinite(f, grid))
-    rng = np.random.default_rng(config.seed)  # operator_norm_bound_check's own stream
+    rng = np.random.default_rng(config.seed)  # the mass row's draws again
     for _ in range(1000):
         f = rng.standard_normal(grid.order) + 1j * rng.standard_normal(grid.order)
         ratio = norm_phi(apply_collision(f, grid), grid) / norm_phi(f, grid)

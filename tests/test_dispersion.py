@@ -1,7 +1,6 @@
 import json
 import math
 import os
-import re
 import warnings
 
 import mpmath
@@ -13,10 +12,9 @@ from hypothesis import strategies as st
 
 from kinrelax import artifacts, dispersion, quadrature
 from kinrelax.artifacts import CHUNK_ROWS, CHUNK_VALUES, SMALL_VALUES, render_each, write_csv
-from kinrelax.dispersion import (_ERFCX_Q, DEFAULT_EDGE_MARGIN, DEFAULT_XI_MIN,
-                                 TABLE_FORMAT_VERSION, XI_RESIDUAL_TOL, DispersionTable,
-                                 UnsupportedFrequencyError, build_table, c_of_xi, erfcx,
-                                 transfer_function, xi_of_c, xi_of_c_quadrature)
+from kinrelax.dispersion import (_ERFCX_Q, DEFAULT_EDGE_MARGIN, DEFAULT_XI_MIN, XI_RESIDUAL_TOL,
+                                 DispersionTable, UnsupportedFrequencyError, build_table,
+                                 c_of_xi, erfcx, transfer_function, xi_of_c, xi_of_c_quadrature)
 from kinrelax.quadrature import SQRT_PI, build_grid
 
 
@@ -340,17 +338,11 @@ def test_table_decay_rate_limits():
     assert table.lam[1] < -0.9
 
 
-def read_table_csv(path):
-    """(metadata, rows) of a table CSV: each "# key=value" line split at its
-    first '=', and the data rows parsed by np.loadtxt, shape (rows, 4)."""
-    with open(path) as fh:
-        lines = [line.removesuffix("\n") for line in fh]
-    assert lines[0] == f"# kinrelax dispersion table format v{TABLE_FORMAT_VERSION}"
-    header = lines.index("xi,c,b,lambda")
-    metadata = dict(line.removeprefix("# ").partition("=")[::2] for line in lines[1:header])
-    if header + 1 == len(lines):  # no rows, which np.loadtxt would warn about
-        return metadata, np.empty((0, 4))
-    return metadata, np.loadtxt(lines[header + 1:], delimiter=",", ndmin=2)
+# The layout of the table files cmd_dispersion writes, over any table: a format
+# line, sorted "key=value" lines and (xi, c, b, lambda) rows in the CSV; the
+# format version, the metadata and one "points" object per row in the JSON.
+TABLE_FORMAT = "kinrelax dispersion table format v1"
+TABLE_META = {"label": "run", "count": 3, "scale": 0.1}
 
 
 def table_columns(table):
@@ -358,10 +350,34 @@ def table_columns(table):
     return np.column_stack([table.xi, table.c, table.b, table.lam])
 
 
+def write_table_csv(table, path, metadata=TABLE_META):
+    write_csv(path, [TABLE_FORMAT, *(f"{key}={value}" for key, value in sorted(metadata.items()))],
+              ("xi", "c", "b", "lambda"), table_columns(table))
+
+
+def write_table_json(table, path, metadata=TABLE_META):
+    artifacts.write_json(path, {"format_version": 1, "metadata": metadata},
+                         {"xi": table.xi, "c": table.c, "b": table.b, "a": table.a,
+                          "lambda": table.lam})
+
+
+def read_table_csv(path):
+    """(metadata, rows) of a table CSV: each "# key=value" line split at its
+    first '=', and the data rows parsed by np.loadtxt, shape (rows, 4)."""
+    with open(path) as fh:
+        lines = [line.removesuffix("\n") for line in fh]
+    assert lines[0] == f"# {TABLE_FORMAT}"
+    header = lines.index("xi,c,b,lambda")
+    metadata = dict(line.removeprefix("# ").partition("=")[::2] for line in lines[1:header])
+    if header + 1 == len(lines):  # no rows, which np.loadtxt would warn about
+        return metadata, np.empty((0, 4))
+    return metadata, np.loadtxt(lines[header + 1:], delimiter=",", ndmin=2)
+
+
 def test_table_csv_roundtrip(tmp_path):
     table = build_table(np.linspace(-0.9, 0.9, 13)[np.abs(np.linspace(-0.9, 0.9, 13)) > 1e-9])
     path = tmp_path / "table.csv"
-    table.to_csv(path)
+    write_table_csv(table, path)
     _, rows = read_table_csv(path)
     assert rows.tobytes() == table_columns(table).tobytes()
 
@@ -369,49 +385,18 @@ def test_table_csv_roundtrip(tmp_path):
 def test_table_json_has_metadata(tmp_path):
     table = build_table([0.2, 0.4])
     path = tmp_path / "table.json"
-    table.to_json(path)
+    write_table_json(table, path, {"xi_residual_tol": XI_RESIDUAL_TOL})
     doc = json.loads(path.read_text())
     assert doc["format_version"] == 1
-    assert "xi_residual_tol" in doc["metadata"]
-    assert len(doc["points"]) == 2
-
-
-@pytest.mark.parametrize("key, value", [("note", "two\nlines"), ("note", "cr\rhere"),
-                                        ("bad\nkey", "v"), ("bad\rkey", 1)])
-def test_table_csv_rejects_metadata_with_a_line_break(tmp_path, key, value):
-    # "two\nlines" used to write a stray "lines" row that no reader could parse
-    table = build_table([0.5], metadata={key: value})
-    path = tmp_path / "table.csv"
-    with pytest.raises(ValueError, match=re.escape(f"metadata item {key!r} holds")):
-        table.to_csv(path)
-    assert not path.exists()
-    table = build_table([0.5], metadata={"note": "one line", "count": 1})
-    table.to_csv(path)
-    metadata, rows = read_table_csv(path)
-    assert rows[:, 0].tobytes() == table.xi.tobytes()
-    assert (metadata["note"], metadata["count"]) == ("one line", "1")
-
-
-@pytest.mark.parametrize("metadata, item", [
-    ({"a=b": "c", " pad ": " v "}, " pad "),  # read back as {"a": "b=c", "pad": "v"}
-    ({"a=b": "c"}, "a=b"), ({" pad": "v"}, " pad"), ({"pad ": "v"}, "pad "),
-    ({"pad": " v"}, "pad"), ({"pad": "v\t"}, "pad"), ({"ok": 1, "x": " 2"}, "x")])
-def test_table_csv_rejects_metadata_that_would_not_read_back(tmp_path, metadata, item):
-    path = tmp_path / "table.csv"
-    with pytest.raises(ValueError, match=re.escape(f"metadata item {item!r} ")):
-        build_table([0.5], metadata=metadata).to_csv(path)
-    assert not path.exists()
-    table = build_table([0.5], metadata={"a": "b=c", "pad": "v w", "#": "", "": 1.5})
-    table.to_csv(path)
-    assert read_table_csv(path)[0] == {
-        key: f"{value}" for key, value in table.metadata.items()}
+    assert doc["metadata"] == {"xi_residual_tol": XI_RESIDUAL_TOL}
+    assert [p["xi"] for p in doc["points"]] == table.xi.tolist()
 
 
 @pytest.mark.parametrize("n", [0, 1, 2 * CHUNK_ROWS + 3])
 def test_table_csv_roundtrip_is_bitwise_at_any_length(tmp_path, n):
     table = build_table(np.linspace(0.05, 1.7, n))
     path = tmp_path / "table.csv"
-    table.to_csv(path)
+    write_table_csv(table, path)
     _, rows = read_table_csv(path)
     assert rows.shape == (n, 4)
     assert rows.tobytes() == table_columns(table).tobytes()
@@ -420,9 +405,9 @@ def test_table_csv_roundtrip_is_bitwise_at_any_length(tmp_path, n):
 # The table writers as they were before rows were streamed in chunks: the
 # byte reference the streamed writers must reproduce.
 def _reference_csv(table, path):
-    lines = [f"# kinrelax dispersion table format v{TABLE_FORMAT_VERSION}"]
-    for key in sorted(table.metadata):
-        lines.append(f"# {key}={table.metadata[key]}")
+    lines = [f"# {TABLE_FORMAT}"]
+    for key in sorted(TABLE_META):
+        lines.append(f"# {key}={TABLE_META[key]}")
     lines.append("xi,c,b,lambda")
     for j in range(len(table)):
         lines.append(",".join(f"{v:.17g}" for v in
@@ -433,8 +418,8 @@ def _reference_csv(table, path):
 
 def _reference_json(table, path):
     doc = {
-        "format_version": TABLE_FORMAT_VERSION,
-        "metadata": {k: table.metadata[k] for k in sorted(table.metadata)},
+        "format_version": 1,
+        "metadata": {k: TABLE_META[k] for k in sorted(TABLE_META)},
         "points": [{"xi": table.xi[j], "c": table.c[j], "b": table.b[j],
                     "a": table.a[j], "lambda": table.lam[j]} for j in range(len(table))],
     }
@@ -444,23 +429,13 @@ def _reference_json(table, path):
 
 
 def _assert_writers_match_reference(table, tmp):
-    table.to_json(tmp / "t.json")
+    write_table_json(table, tmp / "t.json")
     _reference_json(table, tmp / "ref.json")
     assert (tmp / "t.json").read_bytes() == (tmp / "ref.json").read_bytes()
-    (tmp / "t.csv").unlink(missing_ok=True)
-    meta = {f"{key}": f"{value}" for key, value in table.metadata.items()}
-    if any("\n" in k + v or "\r" in k + v or "=" in k or k != k.strip() or v != v.strip()
-           for k, v in meta.items()):
-        # a "# key=value" line with a line break, '=' in its key or whitespace
-        # at an end would not read back
-        with pytest.raises(ValueError, match="would not read back"):
-            table.to_csv(tmp / "t.csv")
-        assert not (tmp / "t.csv").exists()
-        return
-    table.to_csv(tmp / "t.csv")
+    write_table_csv(table, tmp / "t.csv")
     _reference_csv(table, tmp / "ref.csv")
     assert (tmp / "t.csv").read_bytes() == (tmp / "ref.csv").read_bytes()
-    assert read_table_csv(tmp / "t.csv")[0] == meta
+    assert read_table_csv(tmp / "t.csv")[0] == {k: f"{v}" for k, v in TABLE_META.items()}
 
 
 SPECIAL_VALUES = [-0.0, 0.0, 5e-324, -5e-324, 1e308, -1e308,
@@ -482,11 +457,7 @@ def direct_tables(draw):
     xi = np.unique(cols[0][~np.isnan(cols[0])])  # strictly increasing, +-inf allowed
     xi = xi[np.sort(rng.choice(len(xi), n, replace=False))]
     c, b, a, lam = cols[1:, :n]
-    metadata = draw(st.dictionaries(
-        st.text(st.characters(blacklist_categories=("Cs",)), max_size=8),
-        st.text(st.characters(blacklist_categories=("Cs",)), max_size=8) | st.integers()
-        | st.floats(), max_size=4))
-    return DispersionTable(xi=xi, c=c, b=b, a=a, lam=lam, metadata=metadata)
+    return DispersionTable(xi=xi, c=c, b=b, a=a, lam=lam)
 
 
 SPECIAL_TABLE = DispersionTable(
@@ -494,24 +465,20 @@ SPECIAL_TABLE = DispersionTable(
     c=np.array([math.nan, 1.0, -5e-324, math.inf, 0.1]),
     b=np.array([0.5, math.nan, -0.0, 1e-300, -math.inf]),
     a=np.array([-math.inf, 0.25, math.nan, -1e308, 2.0]),
-    lam=np.array([-1.0, -0.5, math.inf, math.nan, -0.0]),
-    metadata={"label": "specials", "count": 5, "scale": math.nan})
+    lam=np.array([-1.0, -0.5, math.inf, math.nan, -0.0]))
 
 
 @settings(max_examples=30, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(direct_tables())
 @example(SPECIAL_TABLE)
-@example(build_table([0.5], metadata={"note": "two\nlines"}))
 def test_table_writers_reproduce_the_reference_bytes(tmp_path, table):
     _assert_writers_match_reference(table, tmp_path)
 
 
 @pytest.mark.parametrize("n", [0, 1, CHUNK_ROWS - 1, CHUNK_ROWS, CHUNK_ROWS + 1, 3000])
 def test_built_table_writers_reproduce_the_reference_bytes(tmp_path, n):
-    table = build_table(np.linspace(-1.7, 1.7, 2 * n)[::2],
-                        metadata={"label": "run", "count": 3, "scale": 0.1})
-    _assert_writers_match_reference(table, tmp_path)
+    _assert_writers_match_reference(build_table(np.linspace(-1.7, 1.7, 2 * n)[::2]), tmp_path)
 
 
 def _percent_g_lines(rows):

@@ -3,7 +3,9 @@
 The direct oracle must not see the construction it checks: ``direct``
 imports only ``quadrature``, ``gds`` does not import ``direct``, and of the
 library modules only ``diagnostics`` and ``cli`` import both the
-construction (``dispersion``, ``gds``) and the oracle (``direct``).  The
+construction (``dispersion``, ``gds``) and the oracle (``direct``).
+``dispersion``, the relation alone, imports only ``quadrature``: its table
+is plain data whose files ``cli`` writes.  The
 runtime needs numpy alone: no module imports scipy, and a command imports
 nothing the CLI did not import at start-up.  ``artifacts``, which imports no
 module of the package, is the only one that opens a file for writing.
@@ -26,7 +28,7 @@ EDGES = {
     "artifacts": set(),
     "quadrature": set(),
     "collision": {"quadrature"},
-    "dispersion": {"artifacts", "quadrature"},
+    "dispersion": {"quadrature"},
     "direct": {"quadrature"},
     "gds": {"dispersion", "quadrature"},
     "diagnostics": {"dispersion", "direct", "gds", "quadrature"},
