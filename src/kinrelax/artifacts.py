@@ -1,10 +1,12 @@
 """Every file kinrelax writes, and the bytes in it.
 
 ``write_csv`` writes "# " comment lines, the column names and rows of floats,
-each value in the bytes of "%.17g" % v but formatted in numpy (``_format_pass``);
-``write_json`` writes the bytes of ``json.dumps(doc, indent=2, sort_keys=True)``
-and streams a list of point objects.  No other module opens a file for
-writing.
+each value in the bytes of "%.17g" % v; ``write_json`` writes the bytes of
+``json.dumps(doc, indent=2, sort_keys=True)`` and streams a list of point
+objects, each value in the bytes of ``json.dumps(v)``, the shortest decimal that
+reads back as v.  Both forms come from one numpy formatter (``_format_pass``)
+over one digit core, the correctly rounded 17 digits.  No other module opens a
+file for writing.
 """
 
 import functools
@@ -12,18 +14,20 @@ import json
 
 import numpy as np
 
-CHUNK_ROWS = 256  # JSON points rendered per write: no artifact is held whole as text
-CHUNK_VALUES = 4096  # CSV values per formatter pass, which holds about 1.2 MB of scratch
-SMALL_VALUES = 256  # below this many values one "%" costs less than a pass (about 0.2 ms)
+CHUNK_VALUES = 4096  # values per formatter pass, which holds about 1.2 MB of scratch
+SMALL_VALUES = 256  # below this many CSV values one "%" costs less than a pass (about 0.2 ms)
 
 # f"{v:.17g}" in numpy.  A finite nonzero |v| with decimal exponent X has the 17
 # digits D = rint(T), T = |v| 10^s, s = 16 - X.  T is formed as p + t from a
 # double-double 10^s by Dekker's exact product, within 2**-46 of the true value
 # (T < 2**57), so rint(T) is correctly rounded unless frac(T) lies within 2**-40 of
-# 1/2: exact decimal ties, which Python rounds half-even, fall back to "%.17g" % v,
-# as do nan and inf.  Each value is laid out in six '<u8' words of its g form,
+# 1/2: exact decimal ties, which Python rounds half-even, fall back to Python's text
+# ("%.17g" % v, or json.dumps(v) in the shortest form), as do nan and inf.  The
+# shortest form keeps fewer of the digits where they still read back (``_shorten``).
+# Each value is laid out in six '<u8' words of its g form,
 #   sign "0.000" d0 .  (d . ) x 16  e-ddd sep
-# with unused bytes 0, which bytes.translate drops (tables from ``_tables``).
+# with unused bytes 0, which bytes.translate drops (tables from ``_tables``); the
+# shortest form's fixed layout with no fraction digits ends in ".0".
 _S_MIN, _S_MAX = -292, 340  # s = 16 - X over the decimal exponents -324..308 of doubles
 _X_MIN = 16 - _S_MAX
 _SPLIT = 134217729.0  # 2**27 + 1
@@ -57,7 +61,7 @@ def _pow10_table():
     (ah, al), (bh, bl) = _split(a_hi), _split(b)
     t = ((ah * bh - p) + ah * bl + al * bh) + al * bl + a_lo * b
     hi = p + t
-    return hi, t - (hi - p), a_e.astype(np.int64)
+    return hi, t - (hi - p), a_e.astype(np.int32)  # int32: numpy ldexp has no int64 loop
 
 
 @functools.cache
@@ -67,21 +71,22 @@ def _tables():
     10^s as hi, lo, e and Dekker's halves of hi; 10^(0..16); four (digit, 0) cells
     of each group 0000..9999, then again with trailing zeros 0; the words but digits
     and tail by [-X of a "0.000" form, sign, digit p that a fixed form's point
-    follows (the zeros of its digits 1..p restored), point]; and word 5 by
-    [X - _X_MIN, or last for fixed forms; row end]."""
+    follows (the zeros of its digits 1..p restored), no point, "." or ".0"]; and
+    word 5 by [X - _X_MIN, or last for fixed forms; row end]."""
     hi, lo, e = _pow10_table()
     digits, trailing, kept = 0, 0, False
     for k in range(3, -1, -1):
         c = np.arange(48, 58, dtype="<u8").reshape((10,) + (1,) * (3 - k))
         kept = kept | (c > 48)
         digits, trailing = digits | c << 16 * k, trailing | (c * kept) << 16 * k
-    shape = np.zeros((5, 2, 17, 2, 48), np.uint8)
+    shape = np.zeros((5, 2, 17, 3, 48), np.uint8)
     shape[:, 1, ..., 0] = ord("-")
     shape[1:, ..., 1:3] = (ord("0"), ord("."))
     shape[..., 3:6] = (np.arange(3) < np.arange(-1, 4)[:, None, None, None, None]) * ord("0")
     c = np.arange(1, 17)  # digit cells 1-16: a digit at byte 2c + 6, a point after it at 2c + 7
     shape[..., 2 * c + 6] = (c <= np.arange(17)[:, None, None]) * ord("0")
-    shape[:, :, np.arange(17), 1, 2 * np.arange(17) + 7] = ord(".")
+    shape[:, :, np.arange(17), 1:, 2 * np.arange(17) + 7] = ord(".")
+    shape[:, :, np.arange(16), 2, 2 * np.arange(16) + 8] = ord("0")
     x = np.arange(_X_MIN, 17 - _S_MIN)[:, None]
     tail = np.zeros((len(x) + 1, 2, 8), np.uint8)
     tail[:-1, :, 0] = ord("e")
@@ -109,9 +114,43 @@ def _scaled(a, x, pow10):
     return np.ldexp(p, e), np.ldexp(t, e)
 
 
-def _format_pass(values, ends) -> str:
-    """f"{v:.17g}" of each float of 1-D ``values``, each followed by "\\n" where
-    ``ends`` is true and by "," elsewhere."""
+def _shorten(d, t, a, x, zero, fallback, pow10):
+    """Replace the 17 digits D (T = D + t) of each |v| = a by those of the shortest
+    decimal that reads back as |v|: the multiple of 10^j nearest T for the largest
+    j with one within H of T, H half the gap between the doubles at |v| in units of
+    T, 2^(e - 54) 10^(16 - x) for a = m 2^e (2^-1075 10^(16 - x) for subnormals).
+    No multiple of 10^j lies within H unless one of 10^(j-1) does, so j runs up over
+    the values still found.  Powers of two (the gap below is half the gap above)
+    and values whose nearest multiple lies within _TIE (1 + H) of the bound H, or
+    of a tie with the other one, join ``fallback``."""
+    hi, _, e10, _, _ = pow10
+    m, e = np.frexp(a)
+    fallback |= (m == 0.5) & ~zero
+    i = np.flatnonzero(~(fallback | zero))
+    k = 16 - x[i] - _S_MIN
+    h = np.ldexp(hi.take(k), e10.take(k) + np.maximum(e[i] - 54, -1075))
+    tie = _TIE * (1.0 + h)
+    digits, t = d[i], t[i]
+    for j in range(1, 17):
+        q, rem = np.divmod(digits, 10**j)
+        below = rem + t  # T - q 10^j
+        above = (10**j - rem) - t  # (q + 1) 10^j - T
+        up = above < below
+        past = np.where(up, above, below) - h  # the nearest multiple's distance past H
+        found = past < 0.0
+        near = (np.abs(past) < tie) | (found & (np.abs(above - below) < tie))
+        fallback[i[near]] = True
+        keep = np.flatnonzero(found & ~near)
+        i, digits, t, h, tie = i[keep], digits[keep], t[keep], h[keep], tie[keep]
+        d[i] = (q[keep] + up[keep]) * 10**j
+        if not len(i):
+            break
+
+
+def _format_pass(values, ends, shortest=False) -> str:
+    """f"{v:.17g}" of each float of 1-D ``values``, or with ``shortest`` its
+    ``json.dumps(v)``, each followed by "\\n" where ``ends`` is true (a bool or
+    one per value) and by "," elsewhere."""
     pow10, pow10_int, digits, shapes, tail = _tables()
     a = np.abs(values)
     finite, zero = np.isfinite(a), a == 0.0
@@ -129,6 +168,8 @@ def _format_pass(values, ends) -> str:
     t -= r
     fallback = (np.abs(np.abs(t) - 0.5) < _TIE) | ~finite
     d = p.astype(np.int64) + r.astype(np.int64)
+    if shortest:
+        _shorten(d, t, a, x, zero, fallback, pow10)
     carry = np.flatnonzero(d == 10**17)
     d[carry] = 10**16
     x[carry] += 1
@@ -137,11 +178,14 @@ def _format_pass(values, ends) -> str:
     hi, lo = np.divmod(d, 10**8)
     d0, hi = np.divmod(hi, 10**8)
     q = np.divmod(hi, 10**4) + np.divmod(lo, 10**4)  # digit groups 1-4
-    fixed = (x >= -4) & (x < 17)
+    fixed = (x >= -4) & (x < 17 - shortest)  # json's fixed form ends at X = 15
     zeros = np.where(fixed & (x < 0), -x, 0)  # "0.000" form
     point = np.where(fixed, np.maximum(x, 0), 0)
-    shape = ((2 * zeros + np.signbit(values)) * 17 + point) * 2
-    shape += (d % pow10_int.take(16 - point) != 0) & (zeros == 0)
+    shape = ((2 * zeros + np.signbit(values)) * 17 + point) * 3
+    frac = d % pow10_int.take(16 - point) != 0
+    shape += frac & (zeros == 0)
+    if shortest:  # a fixed form with no fraction digits ends in ".0"
+        shape += 2 * (fixed & (x >= 0) & ~frac)
     words = np.empty((len(a), 6), "<u8")
     words[:, 0] = (d0 + 48).astype("<u8") << 48
     trailing = np.ones(len(a), bool)
@@ -154,12 +198,13 @@ def _format_pass(values, ends) -> str:
     fallback = np.flatnonzero(fallback)
     words[fallback, 0] = 1
     words[fallback, 1:5] = 0
-    text = words.tobytes().translate(None, b"\0")
+    text = words.tobytes().translate(None, b"\0").decode("ascii")
     if len(fallback):
-        parts = text.split(b"\1")
-        text = b"".join(part for pair in zip(
-            parts, [b"%.17g" % v for v in values[fallback].tolist()] + [b""]) for part in pair)
-    return text.decode("ascii")
+        exact = json.dumps if shortest else "%.17g".__mod__
+        parts = text.split("\1")
+        text = "".join(part for pair in zip(
+            parts, [exact(v) for v in values[fallback].tolist()] + [""]) for part in pair)
+    return text
 
 
 def _render_rows(rows):
@@ -204,22 +249,24 @@ def write_json(path, doc, points=None) -> None:
     """Write the bytes of ``json.dump(doc, fh, indent=2, sort_keys=True)`` and
     "\\n", numpy scalars as floats.  ``points`` maps keys to float columns of one
     length, as ``cli.cmd_dispersion`` passes the dispersion table's; row i is the
-    object {key: column[i]} of a last key "points", written CHUNK_ROWS rows per
-    "%" of one template of the sorted keys; doc holds a key, and each sorts before it."""
+    object {key: column[i]} of a last key "points", written in formatter passes of
+    whole rows, at most CHUNK_VALUES values each, through one template of the
+    sorted keys; doc holds a key, and each sorts before it."""
     text = json.dumps(doc, indent=2, sort_keys=True, default=float)
     with open(path, "w") as fh:
         if points is None:
             fh.write(text + "\n")
             return
         keys = sorted(points)
-        rows = np.column_stack([points[k] for k in keys])
-        fields = ",\n".join(f"      {json.dumps(k)}: %r" for k in keys)
+        count = len(points[keys[0]])
+        fields = ",\n".join(f"      {json.dumps(k)}: %s" for k in keys)
         entry = ",\n    {\n" + fields + "\n    }"  # one point at indent 2, comma first
         fh.write(text[:-2] + ',\n  "points": [')  # reopen the doc's closing "\n}"
-        for start in range(0, len(rows), CHUNK_ROWS):
-            chunk = rows[start:start + CHUNK_ROWS]
-            text = (entry * len(chunk)) % tuple(chunk.ravel().tolist())
-            # repr is json's float form except for the non-finite values
-            text = text.replace("nan", "NaN").replace("inf", "Infinity")
+        step = max(1, CHUNK_VALUES // len(keys))
+        for start in range(0, count, step):
+            # one pass's rows, and its values as strs only while its text is made
+            chunk = np.column_stack([points[k][start:start + step] for k in keys])
+            text = (entry * len(chunk)) % tuple(
+                _format_pass(chunk.ravel(), True, shortest=True).split("\n")[:-1])
             fh.write(text[1:] if start == 0 else text)  # no comma before the first
-        fh.write("\n  ]\n}\n" if len(rows) else "]\n}\n")
+        fh.write("\n  ]\n}\n" if count else "]\n}\n")

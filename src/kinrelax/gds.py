@@ -142,7 +142,10 @@ def make_band_limited_density(profile: str, *, xi_max: float, modes: int,
         c0 = center if center is not None else xi_max / 2.0
         if s <= 0:
             raise ValueError("sigma must be positive")
-        mag[inside] = amplitude * np.exp(-((absxi[inside] - c0) ** 2) / (2.0 * s * s))
+        # 2 s^2 may underflow to 0; the nan or 0 samples that follow are named by the
+        # spectrum's finiteness check, so numpy's divide warnings are not printed too
+        with np.errstate(divide="ignore", invalid="ignore"):
+            mag[inside] = amplitude * np.exp(-((absxi[inside] - c0) ** 2) / (2.0 * s * s))
     elif profile == "hann-band":
         mag[inside] = amplitude * np.sin(math.pi * absxi[inside] / xi_max) ** 2
     elif profile == "single-mode":

@@ -2,6 +2,10 @@
 
 import numpy as np
 
+from kinrelax.artifacts import CHUNK_VALUES
+
+PASS_ROWS = CHUNK_VALUES // 5  # rows of a dispersion table's 5 JSON keys per formatter pass
+
 
 def fit_convergence_order(steps, errors) -> float:
     """Least-squares slope of log(error) against log(step)."""

@@ -10,8 +10,9 @@ import scipy.special
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+from helpers import PASS_ROWS
 from kinrelax import artifacts, dispersion, quadrature
-from kinrelax.artifacts import CHUNK_ROWS, CHUNK_VALUES, SMALL_VALUES, render_each, write_csv
+from kinrelax.artifacts import CHUNK_VALUES, SMALL_VALUES, render_each, write_csv
 from kinrelax.dispersion import (_ERFCX_Q, DEFAULT_EDGE_MARGIN, DEFAULT_XI_MIN, XI_RESIDUAL_TOL,
                                  DispersionTable, UnsupportedFrequencyError, build_table,
                                  c_of_xi, erfcx, transfer_function, xi_of_c, xi_of_c_quadrature)
@@ -392,7 +393,7 @@ def test_table_json_has_metadata(tmp_path):
     assert [p["xi"] for p in doc["points"]] == table.xi.tolist()
 
 
-@pytest.mark.parametrize("n", [0, 1, 2 * CHUNK_ROWS + 3])
+@pytest.mark.parametrize("n", [0, 1, 2 * PASS_ROWS + 3])
 def test_table_csv_roundtrip_is_bitwise_at_any_length(tmp_path, n):
     table = build_table(np.linspace(0.05, 1.7, n))
     path = tmp_path / "table.csv"
@@ -440,7 +441,7 @@ def _assert_writers_match_reference(table, tmp):
 
 SPECIAL_VALUES = [-0.0, 0.0, 5e-324, -5e-324, 1e308, -1e308,
                   math.nan, math.inf, -math.inf]
-ROW_COUNTS = (st.sampled_from([0, 1, CHUNK_ROWS - 1, CHUNK_ROWS, CHUNK_ROWS + 1])
+ROW_COUNTS = (st.sampled_from([0, 1, PASS_ROWS - 1, PASS_ROWS, PASS_ROWS + 1])
               | st.integers(0, 40))
 
 
@@ -476,7 +477,7 @@ def test_table_writers_reproduce_the_reference_bytes(tmp_path, table):
     _assert_writers_match_reference(table, tmp_path)
 
 
-@pytest.mark.parametrize("n", [0, 1, CHUNK_ROWS - 1, CHUNK_ROWS, CHUNK_ROWS + 1, 3000])
+@pytest.mark.parametrize("n", [0, 1, PASS_ROWS - 1, PASS_ROWS, PASS_ROWS + 1, 3000])
 def test_built_table_writers_reproduce_the_reference_bytes(tmp_path, n):
     _assert_writers_match_reference(build_table(np.linspace(-1.7, 1.7, 2 * n)[::2]), tmp_path)
 
@@ -519,6 +520,28 @@ def test_formatter_is_percent_g_byte_for_byte(name):
         assert text == _percent_g_lines(chunk[:, None])
 
 
+# FORMATTER_INPUTS holds the neighbours of 1e16 and 1e-4 too, where json's float
+# text switches between its fixed and exponent forms
+SHORTEST_INPUTS = {
+    **FORMATTER_INPUTS,
+    # the gap below a power of two is half the gap above it
+    "powers of two and neighbours": _with_neighbours([2.0**k for k in range(-1074, 1024)]),
+    "integers": np.concatenate([np.arange(-2000.0, 2001.0),
+                                _RNG.integers(-2**62, 2**62, 4000).astype(float)]),
+    "short decimals": np.concatenate([np.round(_RNG.uniform(-1e3, 1e3, 2000), k)
+                                      for k in range(10)]),
+}
+
+
+@pytest.mark.parametrize("name", SHORTEST_INPUTS)
+def test_formatter_shortest_is_json_float_byte_for_byte(name):
+    values = np.concatenate([SHORTEST_INPUTS[name], -SHORTEST_INPUTS[name]])
+    for start in range(0, len(values), CHUNK_VALUES):
+        chunk = values[start:start + CHUNK_VALUES]
+        text = artifacts._format_pass(chunk, np.ones(len(chunk), bool), shortest=True)
+        assert text == "".join(json.dumps(v) + "\n" for v in chunk.tolist())
+
+
 @pytest.mark.parametrize("ncols", [1, 4, 65])
 def test_writer_rows_are_exact_across_every_chunk_boundary(tmp_path, ncols):
     rng = np.random.default_rng(ncols)
@@ -537,8 +560,8 @@ def test_formatter_passes_stay_within_the_chunk_bound(monkeypatch):
     # a pass holds about 300 bytes of scratch per value, so one pass over a whole
     # artifact would add megabytes to the peak resident size
     sizes, real = [], artifacts._format_pass
-    monkeypatch.setattr(artifacts, "_format_pass",
-                        lambda values, ends: sizes.append(len(values)) or real(values, ends))
+    monkeypatch.setattr(artifacts, "_format_pass", lambda values, *args, **kwargs:
+                        sizes.append(len(values)) or real(values, *args, **kwargs))
     rng = np.random.default_rng(3)
     write_csv(os.devnull, [], [], rng.standard_normal((17, 3)))  # properties.csv: one "%"
     assert sizes == []
@@ -551,6 +574,12 @@ def test_formatter_passes_stay_within_the_chunk_bound(monkeypatch):
     next(texts)  # formats the first 20 trajectories only
     assert sizes == [20 * 51 * 4]
     assert len(list(texts)) == 255 and max(sizes) <= CHUNK_VALUES and len(sizes) == 13
+    for n in (PASS_ROWS, 8020):  # one pass; the 40,100 values of 4,000 samples a side
+        sizes.clear()
+        artifacts.write_json(os.devnull, {"format_version": 1},
+                             {key: rng.standard_normal(n) for key in "abcde"})
+        assert sum(sizes) == 5 * n and max(sizes) <= CHUNK_VALUES
+        assert all(size % 5 == 0 for size in sizes)  # whole points per pass
 
 
 @pytest.mark.parametrize("shape", [(256, 51, 4), (3, 1100, 4), (2, 3, 2000), (4, 0, 4), (1, 1, 1)])
