@@ -351,23 +351,30 @@ def _rk4_stage_step(op, f, h):
 def _stepped_reference(f, xi, grid, stops, method, dt=None):
     """States at the sorted stops by one step at a time: RK4 stages, or one
     expm(hA) matvec per step, over propagate's span rule for n and h.  With dt
-    a span is the fewest equal steps no longer than dt; RK4 without dt halves
-    it to the smallest default step of the block, or keeps the last h when the
-    span is, to 4 ulps of its stop, a whole number of it in no more steps."""
+    a span is the fewest equal steps no longer than dt.  RK4 without dt repeats
+    the n_last steps of the last h r <= N/2 times when the span is, to 4 ulps
+    of its stop, r times their span; else it halves the span to the smallest
+    default step of the block, or keeps the last h when the span is a whole
+    number of it in no more steps."""
     op = ModeOperator(xi=xi, grid=grid)
     bound = float(np.min(default_rk4_dt(xi, grid)))
-    out, h_last = [], None
+    out, n_last, h_last = [], 0, None
     for stop, span in zip(stops, np.diff(stops, prepend=0.0)):
         n, h = 0, 0.0
         if span > 0.0 and dt:
             n = max(1, math.ceil(span / dt - 1e-9))
             h = dt if abs(n * dt - span) <= 1e-9 * span else span / n
         elif span > 0.0:
-            n = 2 ** max(0, math.ceil(math.log2(span / bound)))
-            j = round(span / h_last) if h_last else 0
-            keep = 1 <= j <= n and abs(span - j * h_last) <= 4.0 * np.spacing(stop)
-            n, h = (j, h_last) if keep else (n, span / n)
-            h_last = h
+            held = n_last * h_last if h_last else math.inf
+            r = round(span / held)
+            if 1 <= r <= grid.order // 2 and abs(span - r * held) <= 4.0 * np.spacing(stop):
+                n, h = r * n_last, h_last
+            else:
+                n = 2 ** max(0, math.ceil(math.log2(span / bound)))
+                j = round(span / h_last) if h_last else 0
+                keep = 1 <= j <= n and abs(span - j * h_last) <= 4.0 * np.spacing(stop)
+                n, h = (j, h_last) if keep else (n, span / n)
+                n_last, h_last = n, h
         prop = linalg.expm(nodal_generator(op) * h) if method == "exact-dense" else None
         for _ in range(n):
             f = _rk4_stage_step(op, f, h) if method == "rk4" else (prop @ f[..., None])[..., 0]
@@ -377,11 +384,13 @@ def _stepped_reference(f, xi, grid, stops, method, dt=None):
 
 @pytest.mark.parametrize("method,dt", [("rk4", None), ("rk4", 0.007), ("exact-dense", 0.007)])
 def test_propagator_powers_match_step_by_step_reference(grid, method, dt):
-    # uneven spans that dt does not divide: every span has its own h and n
+    # uneven spans that dt does not divide: every span has its own h and n.
+    # Without dt the span 1.8 is 9 spans of 0.2, 2,304 steps of its h, more
+    # than the 2,048 of its own halving
     rng = np.random.default_rng(17)
     xi = np.array([0.1, 0.5, 0.9])
     f0 = rng.standard_normal((3, 64)) + 1j * rng.standard_normal((3, 64))
-    stops = np.array([0.3, 0.5, 1.7])
+    stops = np.array([0.3, 0.5, 1.7, 3.5])
     got = propagate(f0, xi, grid, stops, method=method, dt=dt)
     ref = _stepped_reference(f0, xi, grid, stops, method, dt)
     scale = np.max(np.abs(ref), axis=-1, keepdims=True)
@@ -408,14 +417,15 @@ def _taylor_builds(monkeypatch, grid, times):
     for method in ("rk4", "exact-dense"):
         builds.clear()
         found[method] = propagate(f0, xi, grid, times, method=method), list(builds)
-    return found, lambda t: propagate(f0, xi, grid, [t])[0]
+    return found, lambda t, method: propagate(f0, xi, grid, [t], method=method)[0]
 
 
 def test_one_taylor_polynomial_per_step_size(grid, monkeypatch):
-    # 8 modes to 0.5, 1, 2, 5: RK4 halves the spans 0.5, 0.5 and 1 to one h,
-    # and only the span 3 needs a second; the exact path keeps one h throughout
+    # 8 modes to 0.5, 1, 2, 5: RK4 halves the span 0.5 to one h, and the spans
+    # 0.5, 1 and 3 repeat its P^1024 once, twice and six times; the exact path
+    # keeps one h throughout
     found, _ = _taylor_builds(monkeypatch, grid, [0.5, 1.0, 2.0, 5.0])
-    assert [builds for _, builds in found.values()] == [[4, 4], [16]]
+    assert [builds for _, builds in found.values()] == [[4], [16]]
 
 
 def test_rounded_spans_keep_the_step(grid, monkeypatch):
@@ -426,7 +436,18 @@ def test_rounded_spans_keep_the_step(grid, monkeypatch):
     assert [builds for _, builds in found.values()] == [[4], [16]]
     states = found["exact-dense"][0]
     for t, state in zip(times[::7], states[::7]):  # the kept steps land on the stops
-        assert np.max(np.abs(state - alone(t))) <= 1e-13 * np.max(np.abs(state))
+        assert np.max(np.abs(state - alone(t, "exact-dense"))) <= 1e-13 * np.max(np.abs(state))
+    # spans 1e300 and 0.5 after the power of 1e-300: the first ratio is past the
+    # largest double, the second a whole number far past N/2, so neither repeats
+    # it (and no overflow warning).  A one-time RK4 run steps at its own h, so it
+    # differs by RK4's discretisation, 6e-13 here
+    for times in ([1e-300, 1e300], [1e-300, 0.5, 3.0]):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            found, alone = _taylor_builds(monkeypatch, grid, times)
+        for (method, (states, _)), bound in zip(found.items(), (1e-12, 1e-13)):
+            for t, state in zip(times, states):
+                assert np.max(np.abs(state - alone(t, method))) <= bound * np.max(np.abs(state))
 
 
 @pytest.mark.parametrize("order", [2, 7, 64])
@@ -532,3 +553,18 @@ def test_power_is_matrix_power_and_stops_at_zero():
     _CountedProducts.products = 0
     assert not np.any(_power(decaying, 2**1007 + 1))
     assert _CountedProducts.products < 30  # not 1,008 products
+
+
+def test_repeated_powers_take_fewer_stacked_products(grid, monkeypatch):
+    # at 0.5, 1, 2, 5 the spans 0.5, 1 and 3 are 1, 2 and 6 matvecs by the power
+    # of the first span: new powers for them took 29 products on 8 RK4 modes
+    # (a second polynomial and P^4096) and 12 on a 16-mode exact block
+    for name in ("_taylor", "_power"):
+        monkeypatch.setattr(direct, name, lambda P, n, fn=getattr(direct, name):
+                            np.asarray(fn(P.view(_CountedProducts), n)))
+    for method, modes, products in (("rk4", 8, 13), ("exact-dense", 16, 9)):
+        xi = 0.9 * np.arange(1, modes + 1) / modes
+        _CountedProducts.products = 0
+        propagate(transfer_function(build_table(xi), grid), xi, grid, [0.5, 1.0, 2.0, 5.0],
+                  method=method)
+        assert _CountedProducts.products == products, method
