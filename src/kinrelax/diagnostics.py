@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.fft import fft, fftfreq, ifft
 
-from .dispersion import DispersionTable, transfer_function
+from .dispersion import XI_RESIDUAL_TOL, DispersionTable, transfer_function
 from .direct import propagate
 from .gds import FieldSnapshot, SpectralDensity
 from .quadrature import VelocityGrid
@@ -36,7 +36,7 @@ class Tolerances:
     collision_spectrum: float = 1e-10
     weights_sum: float = 1e-12
     second_moment: float = 1e-10
-    xi_roundtrip: float = 1e-11
+    xi_roundtrip: float = XI_RESIDUAL_TOL
     closed_form_vs_quadrature: float = 1e-10
     transfer_identity: float = 1e-8
     eigenpair: float = 1e-8

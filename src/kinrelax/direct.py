@@ -93,26 +93,21 @@ def propagate(f0, xi, grid: VelocityGrid, times, method: str = "exact-dense",
     a larger (modes, N, N) stack of propagators and powers, in one pass through
     the sorted distinct times (``times`` may be unsorted or repeated) in parity
     coordinates, where A_xi is R (``_parity_generator``).  A method is a step
-    bound and a Taylor degree under one span rule: each span between outputs is
-    the fewest equal steps no longer than dt ending on its output time (one step
-    without dt; a step within 1e-9 of dt is dt, so evenly spaced outputs share
-    one), halved the fewest times s >= 0 that bring a step h within the bound;
-    its n steps are one matvec by P(h)^n, P the Taylor polynomial of exp(hR),
-    made once per h.  Without dt a span that is a whole number r <= N/2 of the
-    span of the power held, to 4 ulps of its stop (spans are rounded differences
-    of stops), is r more matvecs by that power and builds nothing: a stacked
-    product costs N/2 stacked matvecs (spans 0.5, 0.5, 1, 3: P^8, then 1, 2 and 6
-    matvecs by it).  Any other span without dt that is j steps of the last h, to
-    4 ulps of its stop, in no more steps than its own n, keeps that h; P^n is a
-    power of the last power P^n' of the same h when n' divides n (spans 0.5, 64:
-    P^8, then P^1024 as (P^8)^128 by seven squarings).  A repeat takes steps the
-    block already took, so none is longer than the bound; with dt every span
-    takes its own steps.  'rk4' is degree 4, one classical RK4 step, bounded by
-    dt or else the smallest ``default_rk4_dt`` of the modes, rejected above the
-    stability bound of any of them.  'exact-dense', the high-trust path, scales
-    and squares: degree 16, bounded by ||hR||_1 <= THETA, where the series
-    remainder lies below double precision.  A step count that is not finite
-    (times / dt overflows) raises ValueError.
+    bound and a Taylor degree under one span rule.  A span between outputs that
+    is a whole number r of the span of the power the block holds, to 4 ulps of
+    its stop (spans are rounded differences of stops), is r matvecs by that
+    power, steps the block already took: r <= N/2 without dt, since a stacked
+    product costs N/2 stacked matvecs (spans 0.5, 0.5, 1, 3: P^8, then 1, 2 and
+    6 matvecs by it), and r = 1 with dt.  Any other span builds its own power
+    P(h)^n, P the Taylor polynomial of exp(hR), rebuilt only when h changes: the
+    fewest equal steps no longer than dt ending on its output time (one step
+    without dt; a step within 1e-9 of dt is dt), halved the fewest times s >= 0
+    that bring h within the bound.  'rk4' is degree 4, one classical RK4 step,
+    bounded by dt or else the smallest ``default_rk4_dt`` of the modes, rejected
+    above the stability bound of any of them.  'exact-dense', the high-trust
+    path, scales and squares: degree 16, bounded by ||hR||_1 <= THETA, where the
+    series remainder lies below double precision.  A step count that is not
+    finite (times / dt overflows) raises ValueError.
     """
     xi = np.atleast_1d(np.asarray(xi, dtype=float))
     f0 = np.asarray(f0, dtype=complex)
@@ -143,13 +138,12 @@ def propagate(f0, xi, grid: VelocityGrid, times, method: str = "exact-dense",
         raise ValueError(f"the step count {np.max(stops):g} / {step} is not finite")
     out = np.empty((len(stops),) + f0.shape, dtype=complex)
     y, log_bound = to_parity(f0, grid), math.log2(bound)  # so s never overflows
-    prop_h = power_hn = None
-    most = grid.order // 2  # r matvecs cost less than one stacked product while r <= N/2
+    prop_h = held = None  # held: the span the power was built for
+    most = 1 if dt else grid.order // 2  # r <= N/2 matvecs cost less than one stacked product
     # Python floats: a ratio past the largest double is inf, with no overflow warning
     for k, span in enumerate(np.diff(stops, prepend=0.0).tolist()):
         if span > 0.0:
-            held = power_hn[0] * power_hn[1] if power_hn and not dt else math.inf
-            m = span / held  # a whole number r of the span of the power held: repeat it
+            m = span / held if held else math.inf
             r = round(m) if m < most + 1 else 0
             if not (1 <= r <= most and abs(span - r * held) <= 4.0 * np.spacing(stops[k])):
                 r, n, h = 1, 1, span
@@ -158,16 +152,9 @@ def propagate(f0, xi, grid: VelocityGrid, times, method: str = "exact-dense",
                     h = dt if abs(n * dt - span) <= 1e-9 * span else span / n
                 s = max(0, math.ceil(math.log2(h) - log_bound))
                 n, h = n << s, math.ldexp(h, -s)
-                m = span / prop_h if prop_h and not dt else math.inf
-                j = round(m) if m < n + 1 else 0  # no more steps of the last h: keep it
-                if 1 <= j <= n and abs(span - j * prop_h) <= 4.0 * np.spacing(stops[k]):
-                    n, h = j, prop_h
-                if (h, n) != power_hn:
-                    if h != prop_h:  # one-step propagators of the modes
-                        prop_h, prop = h, _taylor(R * h, degree)
-                    last_h, last_n = power_hn or (None, 1)
-                    base, e = (power, n // last_n) if h == last_h and n % last_n == 0 else (prop, n)
-                    power_hn, power = (h, n), _power(base, e)
+                if h != prop_h:  # one-step propagators of the modes
+                    prop_h, prop = h, _taylor(R * h, degree)
+                held, power = span, _power(prop, n)
             for _ in range(r):  # the real power acts on the real and imaginary parts at once
                 y = (power @ y.view(float).reshape(*y.shape, 2)).view(complex)[..., 0]
         out[k] = y

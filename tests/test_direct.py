@@ -350,31 +350,28 @@ def _rk4_stage_step(op, f, h):
 
 def _stepped_reference(f, xi, grid, stops, method, dt=None):
     """States at the sorted stops by one step at a time: RK4 stages, or one
-    expm(hA) matvec per step, over propagate's span rule for n and h.  With dt
-    a span is the fewest equal steps no longer than dt.  RK4 without dt repeats
-    the n_last steps of the last h r <= N/2 times when the span is, to 4 ulps
-    of its stop, r times their span; else it halves the span to the smallest
-    default step of the block, or keeps the last h when the span is a whole
-    number of it in no more steps."""
+    expm(hA) matvec per step, over propagate's span rule for n and h.  A span
+    that is, to 4 ulps of its stop, r times the span the last steps were built
+    for repeats those steps r times (r <= N/2 without dt, r = 1 with dt); any
+    other span takes the fewest equal steps no longer than dt, or without dt
+    halves itself to the smallest default RK4 step of the block."""
     op = ModeOperator(xi=xi, grid=grid)
     bound = float(np.min(default_rk4_dt(xi, grid)))
-    out, n_last, h_last = [], 0, None
+    most = 1 if dt else grid.order // 2
+    out, held = [], None
     for stop, span in zip(stops, np.diff(stops, prepend=0.0)):
         n, h = 0, 0.0
-        if span > 0.0 and dt:
-            n = max(1, math.ceil(span / dt - 1e-9))
-            h = dt if abs(n * dt - span) <= 1e-9 * span else span / n
+        r = round(span / held) if held and span / held < most + 1 else 0
+        if 1 <= r <= most and abs(span - r * held) <= 4.0 * np.spacing(stop):
+            n, h = r * n_held, h_held
         elif span > 0.0:
-            held = n_last * h_last if h_last else math.inf
-            r = round(span / held)
-            if 1 <= r <= grid.order // 2 and abs(span - r * held) <= 4.0 * np.spacing(stop):
-                n, h = r * n_last, h_last
+            if dt:
+                n = max(1, math.ceil(span / dt - 1e-9))
+                h = dt if abs(n * dt - span) <= 1e-9 * span else span / n
             else:
                 n = 2 ** max(0, math.ceil(math.log2(span / bound)))
-                j = round(span / h_last) if h_last else 0
-                keep = 1 <= j <= n and abs(span - j * h_last) <= 4.0 * np.spacing(stop)
-                n, h = (j, h_last) if keep else (n, span / n)
-                n_last, h_last = n, h
+                h = span / n
+            held, n_held, h_held = span, n, h
         prop = linalg.expm(nodal_generator(op) * h) if method == "exact-dense" else None
         for _ in range(n):
             f = _rk4_stage_step(op, f, h) if method == "rk4" else (prop @ f[..., None])[..., 0]
@@ -382,15 +379,17 @@ def _stepped_reference(f, xi, grid, stops, method, dt=None):
     return np.array(out)
 
 
+@pytest.mark.parametrize("stops", [(0.3, 0.5, 1.7, 3.5), (0.5, 0.875), (1.0, 1.5, 2.25)])
 @pytest.mark.parametrize("method,dt", [("rk4", None), ("rk4", 0.007), ("exact-dense", 0.007)])
-def test_propagator_powers_match_step_by_step_reference(grid, method, dt):
+def test_propagator_powers_match_step_by_step_reference(grid, stops, method, dt):
     # uneven spans that dt does not divide: every span has its own h and n.
     # Without dt the span 1.8 is 9 spans of 0.2, 2,304 steps of its h, more
-    # than the 2,048 of its own halving
+    # than the 2,048 of its own halving; 0.375 after 0.5, and 0.5 and 0.75
+    # after 1.0, are no whole number of the span held and build their own
     rng = np.random.default_rng(17)
     xi = np.array([0.1, 0.5, 0.9])
     f0 = rng.standard_normal((3, 64)) + 1j * rng.standard_normal((3, 64))
-    stops = np.array([0.3, 0.5, 1.7, 3.5])
+    stops = np.array(stops)
     got = propagate(f0, xi, grid, stops, method=method, dt=dt)
     ref = _stepped_reference(f0, xi, grid, stops, method, dt)
     scale = np.max(np.abs(ref), axis=-1, keepdims=True)
@@ -555,16 +554,23 @@ def test_power_is_matrix_power_and_stops_at_zero():
     assert _CountedProducts.products < 30  # not 1,008 products
 
 
-def test_repeated_powers_take_fewer_stacked_products(grid, monkeypatch):
-    # at 0.5, 1, 2, 5 the spans 0.5, 1 and 3 are 1, 2 and 6 matvecs by the power
+@pytest.mark.parametrize("times,exact,rk4", [
+    ([0.5, 1.0, 2.0, 5.0], 9, 13),
+    (np.arange(1, 51) / 10, 7, 10),
+    ([0.3, 0.5, 1.7, 3.5], 17, 23),
+])
+def test_repeated_powers_take_fewer_stacked_products(grid, monkeypatch, times, exact, rk4):
+    # stacked products per block on a 16-mode exact block and 8 RK4 modes.  At
+    # 0.5, 1, 2, 5 the spans 0.5, 1 and 3 are 1, 2 and 6 matvecs by the power
     # of the first span: new powers for them took 29 products on 8 RK4 modes
-    # (a second polynomial and P^4096) and 12 on a 16-mode exact block
+    # (a second polynomial and P^4096) and 12 on a 16-mode exact block.  At
+    # 0.1, ..., 5.0 every span repeats the first power once; at 0.3, 0.5, 1.7,
+    # 3.5 the spans 1.2 and 1.8 repeat the power of 0.2
     for name in ("_taylor", "_power"):
         monkeypatch.setattr(direct, name, lambda P, n, fn=getattr(direct, name):
                             np.asarray(fn(P.view(_CountedProducts), n)))
-    for method, modes, products in (("rk4", 8, 13), ("exact-dense", 16, 9)):
+    for method, modes, products in (("rk4", 8, rk4), ("exact-dense", 16, exact)):
         xi = 0.9 * np.arange(1, modes + 1) / modes
         _CountedProducts.products = 0
-        propagate(transfer_function(build_table(xi), grid), xi, grid, [0.5, 1.0, 2.0, 5.0],
-                  method=method)
+        propagate(transfer_function(build_table(xi), grid), xi, grid, times, method=method)
         assert _CountedProducts.products == products, method

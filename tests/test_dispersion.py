@@ -339,6 +339,14 @@ def test_table_decay_rate_limits():
     assert table.lam[1] < -0.9
 
 
+def test_dispersion_band_decay_rates_lie_in_the_open_unit_interval():
+    # the band the dispersion command tabulates, at its widest (no edge margin):
+    # lambda runs from -5.0e-5 to -0.99911, so no row leaves (-1, 0)
+    xi = np.linspace(0.01, SQRT_PI - 1e-3, 4000)
+    lam = build_table(np.concatenate([-xi, xi]), edge_margin=0.0).lam
+    assert np.all((lam > -1.0) & (lam < 0.0))
+
+
 # The layout of the table files cmd_dispersion writes, over any table: a format
 # line, sorted "key=value" lines and (xi, c, b, lambda) rows in the CSV; the
 # format version, the metadata and one "points" object per row in the JSON.
