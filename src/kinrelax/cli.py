@@ -387,7 +387,7 @@ def _property_rows(config: RunConfig):
            tol.xi_roundtrip)
 
     c = np.logspace(-4, 4, 17)
-    quad = np.array([xi_of_c_quadrature(x) for x in c])
+    quad = xi_of_c_quadrature(c)
     yield ("closed_form_vs_quadrature_max_rel",
            float(np.max(np.abs(xi_of_c(c) - quad) / np.abs(xi_of_c(c)))),
            tol.closed_form_vs_quadrature)

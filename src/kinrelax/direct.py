@@ -12,8 +12,8 @@ node v = 0 has e = 2 f(0), no q, and coefficient 1, not 2).  This is exact by
 grid symmetry, not by dispersion: the matrix exponential, by scaling and
 squaring (Moler & Van Loan, 2003, who also call eigenvectors "dubious" for a
 nonnormal R) of a degree-16 Taylor polynomial, RK4 (the degree-4 one) and the
-hydrodynamic eigenpair (one real eig of R) run in real arithmetic as the
-derivation-free oracles the package is validated against.
+hydrodynamic eigenpair (one real eigvals of R, then inverse iteration) run in
+real arithmetic as the derivation-free oracles the package is validated against.
 """
 
 import math
@@ -45,27 +45,33 @@ class ModeOperator:
         return self.diag * f + (f @ self.grid.weights)[..., None]
 
     def hydrodynamic_eigenpair(self):
-        """The least-damped eigenpair whose eigenvector carries mass.
+        """The least-damped eigenpair, whose eigenvector carries mass.
 
-        Returns (mu, u) with u scaled so <u, 1>_phi = 1, one pair per row
-        for an array xi.  Eigenvectors with a vanishing mass component are
-        skipped, as is the spurious real eigenvalue just above -1 (a
-        discretization artifact of the fast kinetic branch) since it is
-        always more damped than the slow mode.  One real eig of the parity
-        generator R, eigenvectors mapped back by ``from_parity``; of a conjugate
-        pair tied in real part (out of the grid-faithful band) the first, with
-        positive imaginary part as LAPACK lists it, is taken.
+        Returns (mu, u) with u scaled so <u, 1>_phi = 1, one pair per row for an
+        array xi.  mu is the eigenvalue of the parity generator R (one real
+        eigvals) with the largest real part, LAPACK's first on a tie (of a conjugate
+        pair out of the grid-faithful band, the one with positive imaginary part);
+        the spurious real one just above -1 is always more damped.  u is two steps
+        of inverse iteration from the mass direction at mu + 4 eps (1 + |mu|),
+        mapped back by ``from_parity``.  ArithmeticError unless the last step grows
+        it 1e8-fold and it carries mass; neither fails on A_xi: at xi = 0 u is the
+        constant, and for xi != 0 a massless eigenvector of the distinct diagonal
+        -(1 + i xi v) plus 1 w^T would be some e_j, of mass w_j > 0.
         """
-        mu, vecs = np.linalg.eig(_parity_generator(self.xi, self.grid))
-        vecs = from_parity(np.swapaxes(vecs, -1, -2), self.grid)  # one per row
-        mass = moment(vecs, 0, self.grid)
-        carries = np.abs(mass) > 1e-8 * norm_phi(vecs, self.grid)
-        if not np.all(np.any(carries, axis=-1)):
-            raise ArithmeticError("no eigenvector with a nonvanishing mass component")
-        k = np.argmax(np.where(carries, mu.real, -np.inf), axis=-1)
-        pick = (*np.indices(k.shape, sparse=True), k)
-        # eig returns a real mu when no eigenvalue of the stack is complex
-        return mu[pick].astype(complex), vecs[pick] / mass[pick][..., None]
+        R, eye = _parity_generator(self.xi, self.grid), np.eye(self.grid.order)
+        mu = np.linalg.eigvals(R)
+        k = np.argmax(mu.real, axis=-1)
+        mu = mu[(*np.indices(k.shape, sparse=True), k)].astype(complex)  # eigvals may be real
+        M = R - np.multiply.outer(mu + 4.0 * np.finfo(float).eps * (1.0 + np.abs(mu)), eye)
+        start = to_parity(np.ones(self.grid.order), self.grid)  # the mass direction
+        y = np.linalg.solve(M, np.broadcast_to(start, R.shape[:-1])[..., None])
+        y = np.linalg.solve(M, y / np.max(np.abs(y), axis=-2, keepdims=True))
+        u, grown = from_parity(y[..., 0], self.grid), np.max(np.abs(y), axis=(-2, -1))
+        mass = moment(u, 0, self.grid)
+        # a step grows the eigenvector of mu about 1/eps-fold, the other parts 1/gap-fold
+        if not np.all((grown > 1e8) & (np.abs(mass) > 1e-8 * norm_phi(u, self.grid))):
+            raise ArithmeticError("no mass-carrying eigenvector of the least-damped eigenvalue")
+        return mu, u / mass[..., None]
 
 
 def rk4_stability_limit(xi, grid: VelocityGrid):

@@ -99,12 +99,14 @@ def xi_of_c(c):
     return xi if xi.ndim else float(xi)
 
 
-def xi_of_c_quadrature(c: float) -> float:
-    """Xi(c) by exp-sinh quadrature of the defining integral (oracle path)."""
-    if c == 0.0:
+def xi_of_c_quadrature(c):
+    """Xi(c) by exp-sinh quadrature of its integral (oracle path), an array in one sum."""
+    c = np.asarray(c, dtype=float)
+    if np.any(c == 0.0):
         raise ValueError("Xi is undefined at c = 0")
-    a = abs(c)
-    return math.copysign(adaptive_phi_integral(lambda v: a / (a * a + v * v)), c)
+    a = np.abs(c)[..., None]  # one row of nodes per value
+    xi = np.copysign(adaptive_phi_integral(lambda v: a / (a * a + v * v)), c)
+    return xi if xi.ndim else float(xi)
 
 
 def c_of_xi(xi, *, xi_min: float = DEFAULT_XI_MIN,

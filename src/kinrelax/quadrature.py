@@ -119,9 +119,10 @@ def adaptive_phi_integral(func):
     Trapezoid sums in t for v = +/-exp(pi/2*sinh t), t in [-5, 3] (Takahasi &
     Mori, 1974), halving the step until two levels agree to 1e-13 of the sum
     of |terms| (the integral when func >= 0).  ``func`` gets one array of new
-    nodes per level, minus those where exp(-v^2) underflows; complex values
-    are fine.  Raises ArithmeticError at the first non-finite level sum, or
-    if the step reaches 2**-13 first.
+    nodes per level, minus those where exp(-v^2) underflows; complex values are
+    fine, and so is a batch (..., nodes), each row stopped at its first agreeing
+    level, so bitwise its own call.  Raises ArithmeticError at the first
+    non-finite level sum of an open row, or if the step reaches 2**-13 first.
     """
 
     def terms(t):  # integrand in t at the nodes t, both half-lines summed
@@ -129,18 +130,24 @@ def adaptive_phi_integral(func):
         w = 0.5 * math.pi / SQRT_PI * np.cosh(t) * v * np.exp(-v * v)
         v, w = v[w > 0.0], w[w > 0.0]
         x = np.concatenate([-v, v])
-        f = np.broadcast_to(func(x), x.shape)
-        return w * (f[: v.size] + f[v.size:])
+        f = np.asarray(func(x))
+        f = np.broadcast_to(f, f.shape[:-1] + x.shape)
+        return w * (f[..., : v.size] + f[..., v.size:])
 
-    h, prev = 0.5, math.nan
+    h = 0.5
     g = terms(np.arange(-5.0, 3.0 + h, h))
-    total, size = h * np.sum(g), h * np.sum(np.abs(g))
-    while np.isfinite(total) and h > 2.0**-13:  # an inf or nan sum never converges
+    total, size = h * np.sum(g, axis=-1), h * np.sum(np.abs(g), axis=-1)
+    prev, out, live = np.full_like(total, np.nan), np.zeros_like(total), np.ones(total.shape, bool)
+    while np.all(np.isfinite(total[live])) and h > 2.0**-13:  # an inf or nan sum never converges
         h *= 0.5
         g = terms(np.arange(-5.0 + h, 3.0, 2.0 * h))  # the odd multiples of the new step
-        prev, total = total, 0.5 * total + h * np.sum(g)
-        size = 0.5 * size + h * np.sum(np.abs(g))
-        if abs(total - prev) <= 1e-13 * size:
-            return total.item()
-    raise ArithmeticError(f"exp-sinh sum did not converge (last two levels {prev:.17g}, "
-                          f"{total:.17g}); does the integrand jump, or hold an inf or a nan?")
+        prev, total = total, 0.5 * total + h * np.sum(g, axis=-1)
+        size = 0.5 * size + h * np.sum(np.abs(g), axis=-1)
+        new = live & (np.abs(total - prev) <= 1e-13 * size)
+        out, live = np.where(new, total, out), live & ~new
+        if not live.any():
+            return out if out.ndim else out.item()
+    k = np.argmax(live.ravel() * (1 + ~np.isfinite(total.ravel())))  # a non-finite row first
+    raise ArithmeticError(f"exp-sinh sum did not converge (row {k}: last two levels "
+                          f"{prev.flat[k]:.17g}, {total.flat[k]:.17g}); does the integrand "
+                          "jump, or hold an inf or a nan?")

@@ -299,6 +299,46 @@ def test_hydrodynamic_eigenpair_stack_matches_rows(grid):
         assert np.max(np.abs(vec - u_row)) < 1e-12 * np.max(np.abs(u_row))
 
 
+def test_hydrodynamic_eigenpair_makes_no_eig_call(grid, monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the eigenpair takes eigenvalues only")
+
+    monkeypatch.setattr(np.linalg, "eig", forbidden)
+    mu, u = ModeOperator(xi=np.array([0.0, 0.3, -1.3]), grid=grid).hydrodynamic_eigenpair()
+    assert mu.shape == (3,) and u.shape == (3, 64)
+    ModeOperator(xi=0.5, grid=grid).hydrodynamic_eigenpair()
+
+
+def test_hydrodynamic_eigenvalue_is_the_eig_eigenvalue_bitwise(grid):
+    # the frequencies of the dense_eigenvalue_gap_max row: its artifact is pinned
+    xi = np.linspace(0.1, 0.75, 8)
+    mu_all = np.linalg.eig(_parity_generator(xi, grid))[0]
+    ref = mu_all[np.arange(8), np.argmax(mu_all.real, axis=-1)]
+    mu, _ = ModeOperator(xi=xi, grid=grid).hydrodynamic_eigenpair()
+    assert np.array_equal(mu, ref)
+
+
+def test_least_damped_eigenvector_without_mass_raises(grid, monkeypatch):
+    # a diagonal generator: its top eigenvector is a unit vector, whose nodal form
+    # has no mass on a q coordinate (v < 0) and mass w_j on the e coordinate j
+    d = -np.linspace(0.2, 1.0, 64)
+    d[31] = -0.1  # q of the node pair +-v_32
+    R = np.diag(d)
+    monkeypatch.setattr(direct, "_parity_generator", lambda xi, grid: R)
+    op = ModeOperator(xi=0.5, grid=grid)
+    with pytest.raises(ArithmeticError, match="no mass-carrying eigenvector"):
+        op.hydrodynamic_eigenpair()  # the mass direction has no part along it
+    R[31] += to_parity(np.ones(64), grid).real  # now it has: found, and massless
+    with pytest.raises(ArithmeticError, match="no mass-carrying eigenvector"):
+        op.hydrodynamic_eigenpair()
+    d[31], d[32] = -0.5, -0.1  # e of the same pair: found, and carries mass
+    R = np.diag(d)
+    mu, u = op.hydrodynamic_eigenpair()
+    ref = from_parity(np.eye(64)[32], grid) / grid.weights[32]
+    assert mu == -0.1
+    assert np.max(np.abs(u - ref)) < 1e-12 * np.max(np.abs(ref))
+
+
 @pytest.mark.parametrize("order", [2, 7, 64])
 def test_real_basis_eigenpair_matches_the_nodal_eigensolve(order):
     # the reference the parity path replaced: a complex eig of the nodal

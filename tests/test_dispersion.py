@@ -21,10 +21,23 @@ from kinrelax.quadrature import SQRT_PI, build_grid
 
 def test_closed_form_validated_against_quadrature():
     # gate for trusting the erfcx evaluation anywhere else
-    for c in np.logspace(-4, 4, 25):
-        fast = xi_of_c(float(c))
-        slow = xi_of_c_quadrature(float(c))
-        assert abs(fast - slow) <= 1e-10 * abs(slow), f"c={c}"
+    c = np.logspace(-4, 4, 25)
+    slow = xi_of_c_quadrature(c)
+    assert np.all(np.abs(xi_of_c(c) - slow) <= 1e-10 * np.abs(slow)), c
+
+
+def test_batched_quadrature_is_bitwise_the_per_value_calls():
+    # each value's row stops at its own level, the sum of its own call
+    c = np.concatenate([-np.logspace(-4, 4, 25), np.logspace(-4, 4, 25)])
+    batched = xi_of_c_quadrature(c)
+    assert batched.shape == c.shape
+    assert np.array_equal(batched, [xi_of_c_quadrature(float(x)) for x in c])
+    square = xi_of_c_quadrature(c[25:].reshape(5, 5))
+    assert square.shape == (5, 5) and np.array_equal(square.ravel(), batched[25:])
+    assert type(xi_of_c_quadrature(0.5)) is float
+    assert type(xi_of_c_quadrature(np.float64(-2.0))) is float
+    with pytest.raises(ValueError, match="c = 0"):
+        xi_of_c_quadrature(np.array([1.0, 0.0]))
 
 
 @given(st.floats(-4.0, 4.0), st.sampled_from([-1.0, 1.0]))
@@ -46,8 +59,7 @@ def test_quadrature_oracle_uses_neither_erfcx_nor_hermite_nodes(monkeypatch):
     monkeypatch.setattr(quadrature, "hermgauss", forbidden)
     with pytest.raises(AssertionError, match="must not use"):  # the guard is live
         xi_of_c(1.0)
-    for c, xi in zip(cs, expected):
-        assert abs(xi_of_c_quadrature(float(c)) - xi) <= 1e-10 * xi
+    assert np.all(np.abs(xi_of_c_quadrature(cs) - expected) <= 1e-10 * expected)
 
 
 def test_erfcx_matches_scipy_and_is_exact_at_the_ends():

@@ -154,12 +154,16 @@ def test_adaptive_integral_against_closed_forms():
     assert abs(adaptive_phi_integral(lambda v: v * v - 0.5)) < 1e-15
 
 
-@pytest.mark.parametrize("func", [lambda v: np.sign(v - 0.3),
-                                  lambda v: np.full_like(v, np.nan)],
-                         ids=["jump", "nan"])
-def test_adaptive_integral_raises_when_unconverged(func):
-    # a jump off the split point, or nan, never lets two levels agree
-    with pytest.raises(ArithmeticError, match="did not converge"):
+@pytest.mark.parametrize("func, row", [
+    (lambda v: np.sign(v - 0.3), 0),
+    (lambda v: np.full_like(v, np.nan), 0),
+    (lambda v: np.stack([np.exp(v), np.sign(v - 0.3)]), 1),
+    (lambda v: np.stack([np.cos(v), np.full_like(v, np.nan)]), 1),
+], ids=["jump", "nan", "batch-jump", "batch-nan"])
+def test_adaptive_integral_raises_when_unconverged(func, row):
+    # a jump off the split point, or nan, never lets two levels agree; in a
+    # batch the other row converges, and the message names the failing one
+    with pytest.raises(ArithmeticError, match=rf"did not converge \(row {row}:"):
         adaptive_phi_integral(func)
 
 
@@ -204,8 +208,22 @@ def test_pairings_reject_a_wrong_velocity_axis(grid64):
 
 
 def test_adaptive_integral_raises_at_the_first_infinite_sum():
-    # inf - inf in the convergence test used to warn twelve times first
+    # inf - inf in the convergence test used to warn twelve times first; an
+    # infinite row of a batch stops it the same way
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(ArithmeticError, match="did not converge"):
-            adaptive_phi_integral(lambda v: np.where(v > 0.3, np.inf, 1.0))
+        for func, row in [(lambda v: np.where(v > 0.3, np.inf, 1.0), 0),
+                          (lambda v: np.stack([np.ones_like(v), np.cos(v),
+                                               np.where(v > 0.3, np.inf, 1.0)]), 2)]:
+            with pytest.raises(ArithmeticError, match=rf"did not converge \(row {row}:"):
+                adaptive_phi_integral(func)
+
+
+def test_batch_rows_equal_their_own_calls():
+    funcs = [np.exp, np.cos, lambda v: v * v - 0.5, lambda v: 1e-3 / (1e-6 + v * v)]
+    batched = adaptive_phi_integral(lambda v: np.stack([f(v) for f in funcs]))
+    assert batched.shape == (4,)
+    assert batched.tolist() == [adaptive_phi_integral(f) for f in funcs]
+    # a constant broadcast over the batch axis of a (2, 1) integrand
+    one = adaptive_phi_integral(lambda v: 1.0)
+    assert adaptive_phi_integral(lambda v: np.ones((2, 1))).tolist() == [one, one]
