@@ -2,11 +2,11 @@
 
 ``write_csv`` writes "# " comment lines, the column names and rows of floats,
 each value in the bytes of "%.17g" % v; ``write_json`` writes the bytes of
-``json.dumps(doc, indent=2, sort_keys=True)`` and streams a list of point
-objects, each value in the bytes of ``json.dumps(v)``, the shortest decimal that
-reads back as v.  Both forms come from one numpy formatter (``_format_pass``)
-over one digit core, the correctly rounded 17 digits.  No other module opens a
-file for writing.
+``json.dumps(doc, indent=2, sort_keys=True)`` of any doc, and may add a list of
+point objects, each value in the bytes of ``json.dumps(v)``, the shortest decimal
+that reads back as v.  Both forms come as bytes from one numpy formatter
+(``_format_pass``) over one digit core, the correctly rounded 17 digits.  No
+other module opens a file for writing.
 """
 
 import functools
@@ -14,7 +14,7 @@ import json
 
 import numpy as np
 
-CHUNK_VALUES = 4096  # values per formatter pass, which holds about 1.2 MB of scratch
+CHUNK_VALUES = 4096  # values per formatter pass, which holds about 1 MB of scratch
 SMALL_VALUES = 256  # below this many CSV values one "%" costs less than a pass (about 0.2 ms)
 
 # f"{v:.17g}" in numpy.  A finite nonzero |v| with decimal exponent X has the 17
@@ -24,10 +24,11 @@ SMALL_VALUES = 256  # below this many CSV values one "%" costs less than a pass 
 # 1/2: exact decimal ties, which Python rounds half-even, fall back to Python's text
 # ("%.17g" % v, or json.dumps(v) in the shortest form), as do nan and inf.  The
 # shortest form keeps fewer of the digits where they still read back (``_shorten``).
-# Each value is laid out in six '<u8' words of its g form,
-#   sign "0.000" d0 .  (d . ) x 16  e-ddd sep
+# Each value is laid out in '<u8' words of its g form and the separator after it,
+#   sign "0.000" d0 .  (d . ) x 16  e-ddd sep...
 # with unused bytes 0, which bytes.translate drops (tables from ``_tables``); the
-# shortest form's fixed layout with no fraction digits ends in ".0".
+# shortest form's fixed layout with no fraction digits ends in ".0".  The separator
+# starts at byte 45: "," or "\n" ends word 5, longer text runs on (``_layout``).
 _S_MIN, _S_MAX = -292, 340  # s = 16 - X over the decimal exponents -324..308 of doubles
 _X_MIN = 16 - _S_MAX
 _SPLIT = 134217729.0  # 2**27 + 1
@@ -70,9 +71,9 @@ def _tables():
     an import or a write of fewer than SMALL_VALUES values builds none:
     10^s as hi, lo, e and Dekker's halves of hi; 10^(0..16); four (digit, 0) cells
     of each group 0000..9999, then again with trailing zeros 0; the words but digits
-    and tail by [-X of a "0.000" form, sign, digit p that a fixed form's point
-    follows (the zeros of its digits 1..p restored), no point, "." or ".0"]; and
-    word 5 by [X - _X_MIN, or last for fixed forms; row end]."""
+    and exponent by [-X of a "0.000" form, sign, digit p that a fixed form's point
+    follows (the zeros of its digits 1..p restored), no point, "." or ".0"], and with
+    "," or "\\n" (``_layout``); and word 5's exponent by [X - _X_MIN, or none]."""
     hi, lo, e = _pow10_table()
     digits, trailing, kept = 0, 0, False
     for k in range(3, -1, -1):
@@ -87,17 +88,26 @@ def _tables():
     shape[..., 2 * c + 6] = (c <= np.arange(17)[:, None, None]) * ord("0")
     shape[:, :, np.arange(17), 1:, 2 * np.arange(17) + 7] = ord(".")
     shape[:, :, np.arange(16), 2, 2 * np.arange(16) + 8] = ord("0")
-    x = np.arange(_X_MIN, 17 - _S_MIN)[:, None]
-    tail = np.zeros((len(x) + 1, 2, 8), np.uint8)
-    tail[:-1, :, 0] = ord("e")
-    tail[:-1, :, 1] = ord("+") + 2 * (x < 0)  # "-" follows "+" and ","
-    tail[:-1, :, 2] = (48 + abs(x) // 100) * (abs(x) >= 100)
-    tail[:-1, :, 3] = 48 + abs(x) // 10 % 10
-    tail[:-1, :, 4] = 48 + abs(x) % 10
-    tail[:, :, 5] = (ord(","), ord("\n"))
+    x = np.arange(_X_MIN, 17 - _S_MIN)
+    tail = np.zeros((len(x) + 1, 8), np.uint8)
+    tail[:-1, 0] = ord("e")
+    tail[:-1, 1] = ord("+") + 2 * (x < 0)  # "-" follows "+" and ","
+    tail[:-1, 2] = (48 + abs(x) // 100) * (abs(x) >= 100)
+    tail[:-1, 3] = 48 + abs(x) // 10 % 10
+    tail[:-1, 4] = 48 + abs(x) % 10
+    forms = shape.view("<u8").reshape(-1, 6)
     return ((hi, lo, e) + _split(hi), 10 ** np.arange(17),
             np.concatenate([digits.ravel(), trailing.ravel()]),
-            shape.view("<u8").reshape(-1, 6), tail.view("<u8").ravel())
+            forms, _layout(forms, (b",", b"\n")), tail.view("<u8").ravel())
+
+
+def _layout(forms, seps):
+    """Row j * len(forms) + f: the words of value form f (``_tables``) and from byte
+    45 on the text of separator j of ``seps`` (bytes), zero-padded to whole words."""
+    width = -(-(45 + max(map(len, seps))) // 8)
+    text = np.frombuffer(b"".join(bytes(45) + sep.ljust(8 * width - 45, b"\0") for sep in seps),
+                         "<u8").reshape(len(seps), 1, width)
+    return (np.pad(forms, ((0, 0), (0, width - 6))) | text).reshape(-1, width)
 
 
 def _scaled(a, x, pow10):
@@ -112,6 +122,12 @@ def _scaled(a, x, pow10):
     t += m * p_lo.take(i)
     e += p_e.take(i)
     return np.ldexp(p, e), np.ldexp(t, e)
+
+
+def _divmod(n, m):
+    """np.divmod(n, m) of int64s n >= 0 by numpy's fast floor division by a scalar."""
+    q = n // m
+    return q, n - q * m
 
 
 def _shorten(d, t, a, x, zero, fallback, pow10):
@@ -132,7 +148,7 @@ def _shorten(d, t, a, x, zero, fallback, pow10):
     tie = _TIE * (1.0 + h)
     digits, t = d[i], t[i]
     for j in range(1, 17):
-        q, rem = np.divmod(digits, 10**j)
+        q, rem = _divmod(digits, 10**j)
         below = rem + t  # T - q 10^j
         above = (10**j - rem) - t  # (q + 1) 10^j - T
         up = above < below
@@ -147,11 +163,11 @@ def _shorten(d, t, a, x, zero, fallback, pow10):
             break
 
 
-def _format_pass(values, ends, shortest=False) -> str:
-    """f"{v:.17g}" of each float of 1-D ``values``, or with ``shortest`` its
-    ``json.dumps(v)``, each followed by "\\n" where ``ends`` is true (a bool or
-    one per value) and by "," elsewhere."""
-    pow10, pow10_int, digits, shapes, tail = _tables()
+def _format_pass(values, ends, shortest=False, layout=None) -> bytes:
+    """The ASCII bytes of f"{v:.17g}" of each float of 1-D ``values``, or with ``shortest``
+    its ``json.dumps(v)``, each followed by separator ``ends`` (an int or one per value):
+    "," for 0 and "\\n" for 1, or that separator of ``layout`` (from ``_layout``)."""
+    pow10, pow10_int, digits, forms, csv_layout, tail = _tables()
     a = np.abs(values)
     finite, zero = np.isfinite(a), a == 0.0
     a[~finite | zero] = 1.0
@@ -175,9 +191,9 @@ def _format_pass(values, ends, shortest=False) -> str:
     x[carry] += 1
     d[zero] = 0
     x[zero] = 0
-    hi, lo = np.divmod(d, 10**8)
-    d0, hi = np.divmod(hi, 10**8)
-    q = np.divmod(hi, 10**4) + np.divmod(lo, 10**4)  # digit groups 1-4
+    hi, lo = _divmod(d, 10**8)
+    d0, hi = _divmod(hi, 10**8)
+    q = _divmod(hi, 10**4) + _divmod(lo, 10**4)  # digit groups 1-4
     fixed = (x >= -4) & (x < 17 - shortest)  # json's fixed form ends at X = 15
     zeros = np.where(fixed & (x < 0), -x, 0)  # "0.000" form
     point = np.where(fixed, np.maximum(x, 0), 0)
@@ -186,60 +202,63 @@ def _format_pass(values, ends, shortest=False) -> str:
     shape += frac & (zeros == 0)
     if shortest:  # a fixed form with no fraction digits ends in ".0"
         shape += 2 * (fixed & (x >= 0) & ~frac)
-    words = np.empty((len(a), 6), "<u8")
-    words[:, 0] = (d0 + 48).astype("<u8") << 48
+    shape += len(forms) * ends
+    words = (csv_layout if layout is None else layout).take(shape, axis=0)
+    words[:, 0] |= (d0 + 48).astype("<u8") << 48
     trailing = np.ones(len(a), bool)
     for k in range(3, -1, -1):
-        words[:, k + 1] = digits.take(q[k] + 10000 * trailing)
+        words[:, k + 1] |= digits.take(q[k] + 10000 * trailing)
         trailing &= q[k] == 0
-    words |= shapes.take(shape, axis=0)
-    # a fallback keeps its separator only: a fixed form's tail
-    words[:, 5] = tail.take(2 * np.where(fixed | fallback, len(tail) // 2 - 1, x - _X_MIN) + ends)
+    # a fallback keeps its separator only: a fixed form's empty tail
+    words[:, 5] |= tail.take(np.where(fixed | fallback, len(tail) - 1, x - _X_MIN))
     fallback = np.flatnonzero(fallback)
     words[fallback, 0] = 1
     words[fallback, 1:5] = 0
-    text = words.tobytes().translate(None, b"\0").decode("ascii")
+    text = words.tobytes()
+    del words  # before translate allocates its output, of the same size
+    text = text.translate(None, b"\0")
     if len(fallback):
         exact = json.dumps if shortest else "%.17g".__mod__
-        parts = text.split("\1")
-        text = "".join(part for pair in zip(
-            parts, [exact(v) for v in values[fallback].tolist()] + [""]) for part in pair)
+        parts = text.split(b"\1")
+        text = b"".join(part for pair in zip(parts, [
+            exact(v).encode() for v in values[fallback].tolist()] + [b""]) for part in pair)
     return text
 
 
 def _render_rows(rows):
     """Yield the rows of a 2-D float array as lines of comma-separated
-    f"{v:.17g}" values, CHUNK_VALUES values per string; an array of fewer than
-    SMALL_VALUES values goes through one "%" of a row template instead."""
+    f"{v:.17g}" values in bytes, CHUNK_VALUES values per pass; an array of fewer
+    than SMALL_VALUES values goes through one "%" of a row template instead."""
     values = rows.ravel()
     if len(values) < SMALL_VALUES:
-        yield (",".join(["%.17g"] * rows.shape[1]) + "\n") * len(rows) % tuple(values.tolist())
+        yield ((",".join(["%.17g"] * rows.shape[1]) + "\n") * len(rows)
+               % tuple(values.tolist())).encode()
         return
+    ends = np.arange(1, CHUNK_VALUES + rows.shape[1]) % rows.shape[1] == 0  # from any column
     for start in range(0, len(values), CHUNK_VALUES):
         chunk = values[start:start + CHUNK_VALUES]
-        yield _format_pass(chunk, np.arange(start + 1, start + len(chunk) + 1) % rows.shape[1] == 0)
+        yield _format_pass(chunk, ends[start % rows.shape[1]:][:len(chunk)])
 
 
 def render_each(stack):
-    """Yield the text of each 2-D array of a 3-D float stack; arrays share formatter
+    """Yield the bytes of each 2-D array of a 3-D float stack; arrays share formatter
     passes of up to CHUNK_VALUES values, so many small files cost a few passes."""
     count, m, ncols = stack.shape
     step = max(1, CHUNK_VALUES // max(1, m * ncols))
     for start in range(0, count, step):
-        lines = "".join(_render_rows(stack[start:start + step].reshape(-1, ncols)))
+        lines = b"".join(_render_rows(stack[start:start + step].reshape(-1, ncols)))
         lines = lines.splitlines(keepends=True)
         for j in range(min(step, count - start)):
-            yield "".join(lines[j * m:(j + 1) * m])
+            yield b"".join(lines[j * m:(j + 1) * m])
 
 
 def write_csv(path, comments, columns, rows) -> None:
     """Write a "# " line per comment, the column names joined by commas, then
     the rows: a 2-D float array (or a list of rows) as lines of comma-separated
-    "%.17g" values, or text from ``render_each`` as it is."""
-    with open(path, "w") as fh:
-        fh.writelines(f"# {line}\n" for line in comments)
-        fh.write(",".join(columns) + "\n")
-        if isinstance(rows, str):
+    "%.17g" values, or bytes from ``render_each`` as they are."""
+    with open(path, "wb") as fh:
+        fh.write("".join([*(f"# {line}\n" for line in comments), ",".join(columns), "\n"]).encode())
+        if isinstance(rows, bytes):
             fh.write(rows)
         else:
             fh.writelines(_render_rows(np.asarray(rows, dtype=np.float64)))
@@ -247,26 +266,32 @@ def write_csv(path, comments, columns, rows) -> None:
 
 def write_json(path, doc, points=None) -> None:
     """Write the bytes of ``json.dump(doc, fh, indent=2, sort_keys=True)`` and
-    "\\n", numpy scalars as floats.  ``points`` maps keys to float columns of one
-    length, as ``cli.cmd_dispersion`` passes the dispersion table's; row i is the
-    object {key: column[i]} of a last key "points", written in formatter passes of
-    whole rows, at most CHUNK_VALUES values each, through one template of the
-    sorted keys; doc holds a key, and each sorts before it."""
-    text = json.dumps(doc, indent=2, sort_keys=True, default=float)
-    with open(path, "w") as fh:
-        if points is None:
-            fh.write(text + "\n")
-            return
-        keys = sorted(points)
-        count = len(points[keys[0]])
-        fields = ",\n".join(f"      {json.dumps(k)}: %s" for k in keys)
-        entry = ",\n    {\n" + fields + "\n    }"  # one point at indent 2, comma first
-        fh.write(text[:-2] + ',\n  "points": [')  # reopen the doc's closing "\n}"
-        step = max(1, CHUNK_VALUES // len(keys))
+    "\\n", numpy scalars as floats, for any doc.  ``points`` maps keys to float
+    columns of one length, as ``cli.cmd_dispersion`` passes the dispersion table's;
+    row i is the object {key: column[i]} of the key "points", which doc must not
+    hold.  Formatter passes of whole rows, at most CHUNK_VALUES values each, write
+    the keys of each row as the separators between its values."""
+    if points is None:
+        with open(path, "wb") as fh:
+            fh.write(json.dumps(doc, indent=2, sort_keys=True, default=float).encode() + b"\n")
+        return
+    if "points" in doc:
+        raise ValueError('write_json: doc holds a key "points" of its own')
+    # the doc with an empty list at "points", the one such line at indent 2
+    head, _, tail = json.dumps({**doc, "points": []}, indent=2, sort_keys=True,
+                               default=float).partition('\n  "points": []')
+    keys = sorted(points)
+    count = len(points[keys[0]])
+    first = f"\n    {{\n      {json.dumps(keys[0])}: ".encode()  # opens a record
+    layout = _layout(_tables()[3], [f",\n      {json.dumps(key)}: ".encode() for key in keys[1:]]
+                     + [b"\n    }," + first, b"\n    }\n  ]"])
+    step = max(1, CHUNK_VALUES // len(keys))
+    ends = np.arange(step * len(keys)) % len(keys)  # the separators of a whole pass
+    with open(path, "wb") as fh:
+        fh.write(head.encode() + b'\n  "points": [' + (first if count else b"]"))
         for start in range(0, count, step):
-            # one pass's rows, and its values as strs only while its text is made
-            chunk = np.column_stack([points[k][start:start + step] for k in keys])
-            text = (entry * len(chunk)) % tuple(
-                _format_pass(chunk.ravel(), True, shortest=True).split("\n")[:-1])
-            fh.write(text[1:] if start == 0 else text)  # no comma before the first
-        fh.write("\n  ]\n}\n" if count else "]\n}\n")
+            chunk = np.column_stack([points[k][start:start + step] for k in keys]).ravel()
+            if start + step >= count:  # the last record closes the list
+                ends = np.append(ends[:len(chunk) - 1], len(keys))
+            fh.write(_format_pass(chunk, ends[:len(chunk)], shortest=True, layout=layout))
+        fh.write(tail.encode() + b"\n")

@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import tracemalloc
 import warnings
 
 import mpmath
@@ -537,7 +538,7 @@ def test_formatter_is_percent_g_byte_for_byte(name):
     for start in range(0, len(values), CHUNK_VALUES):  # the numpy pass at any length
         chunk = values[start:start + CHUNK_VALUES]
         text = artifacts._format_pass(chunk, np.ones(len(chunk), bool))
-        assert text == _percent_g_lines(chunk[:, None])
+        assert text == _percent_g_lines(chunk[:, None]).encode()
 
 
 # FORMATTER_INPUTS holds the neighbours of 1e16 and 1e-4 too, where json's float
@@ -559,7 +560,7 @@ def test_formatter_shortest_is_json_float_byte_for_byte(name):
     for start in range(0, len(values), CHUNK_VALUES):
         chunk = values[start:start + CHUNK_VALUES]
         text = artifacts._format_pass(chunk, np.ones(len(chunk), bool), shortest=True)
-        assert text == "".join(json.dumps(v) + "\n" for v in chunk.tolist())
+        assert text == "".join(json.dumps(v) + "\n" for v in chunk.tolist()).encode()
 
 
 @pytest.mark.parametrize("ncols", [1, 4, 65])
@@ -602,10 +603,80 @@ def test_formatter_passes_stay_within_the_chunk_bound(monkeypatch):
         assert all(size % 5 == 0 for size in sizes)  # whole points per pass
 
 
+def _json_reference(doc, columns):
+    """json.dumps of doc with the points object of each row of ``columns``."""
+    keys = sorted(columns)
+    rows = zip(*(np.asarray(columns[key]).tolist() for key in keys))
+    return json.dumps({**doc, "points": [dict(zip(keys, row)) for row in rows]},
+                      indent=2, sort_keys=True) + "\n"
+
+
+@pytest.mark.parametrize("doc", [{}, {"zeta": 1}, {"a": [1, 2], "points_b": {"points": []}}])
+def test_write_json_adds_points_to_any_doc(tmp_path, doc):
+    # no key before "points", a key that sorts after it, and a nested "points"
+    points = {"x": np.array([1.0, 2.0])}
+    artifacts.write_json(tmp_path / "p.json", doc, points)
+    assert (tmp_path / "p.json").read_text() == _json_reference(doc, points)
+
+
+def test_write_json_refuses_a_doc_that_holds_points(tmp_path):
+    with pytest.raises(ValueError, match="points"):
+        artifacts.write_json(tmp_path / "p.json", {"points": 3}, {"x": np.array([1.0])})
+
+
+# keys that JSON escapes (a quote, a backslash, a control character, a non-ASCII
+# letter) and one longer than a word, 5 keys as in a dispersion table's points
+ESCAPED_KEYS = ['"quoted', "back\\slash", "ctl\x01", "\u00e9t\u00e9", "a_key_longer_than_8_bytes"]
+
+
+@pytest.mark.parametrize("n", [0, 1, PASS_ROWS - 1, PASS_ROWS, PASS_ROWS + 1, 8020])
+def test_json_separators_write_any_keys(tmp_path, n):
+    rng = np.random.default_rng(n)
+    columns = rng.standard_normal((5, n)) * 10.0 ** rng.uniform(-30, 30, (5, n))
+    specials = [math.nan, math.inf, 5e-324, 2.0**-20, -math.inf]  # Python's text
+    for start in range(0, n, PASS_ROWS):  # at both ends of each pass
+        columns[:, start] = specials
+        columns[:, min(start + PASS_ROWS, n) - 1] = specials[::-1]
+    points = dict(zip(ESCAPED_KEYS, columns))
+    doc = {"format_version": 1, "zeta": "after"}
+    artifacts.write_json(tmp_path / "p.json", doc, points)
+    assert (tmp_path / "p.json").read_bytes() == _json_reference(doc, points).encode()
+
+
+def _tracemalloc_peak_kb(call):
+    call()  # the formatter's tables are built once, at the first pass
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1] / 1024
+    finally:
+        tracemalloc.stop()
+
+
+_PEAK_RNG = np.random.default_rng(29)
+_PEAK_VALUES = _PEAK_RNG.standard_normal(CHUNK_VALUES) * 10.0 ** _PEAK_RNG.uniform(-8, 8, CHUNK_VALUES)
+_PEAK_ENDS = np.arange(1, CHUNK_VALUES + 1) % 65 == 0
+_PEAK_ROWS = _PEAK_RNG.standard_normal((512, 65))
+_PEAK_COLUMNS = {key: _PEAK_RNG.standard_normal(8020) for key in ("xi", "c", "b", "a", "lambda")}
+
+
+# the peak_rss_mb of a run includes the formatter's scratch: each bound is the
+# tracemalloc peak (KB) of the str-writing formatter with a "%" record template
+# that came before, plus 10%, so that no pass buys time with more scratch
+@pytest.mark.parametrize("call, bound_kb", [
+    (lambda: artifacts._format_pass(_PEAK_VALUES, _PEAK_ENDS), 1119 * 1.1),
+    (lambda: artifacts._format_pass(_PEAK_VALUES, _PEAK_ENDS, shortest=True), 1119 * 1.1),
+    (lambda: write_csv(os.devnull, ["head"], ["c"] * 65, _PEAK_ROWS), 1130 * 1.1),
+    (lambda: artifacts.write_json(os.devnull, {"format_version": 1}, _PEAK_COLUMNS), 1374 * 1.1),
+], ids=["pass", "shortest pass", "write_csv 512x65", "write_json 8020x5"])
+def test_writer_scratch_stays_bounded(call, bound_kb):
+    assert _tracemalloc_peak_kb(call) <= bound_kb
+
+
 @pytest.mark.parametrize("shape", [(256, 51, 4), (3, 1100, 4), (2, 3, 2000), (4, 0, 4), (1, 1, 1)])
 def test_each_array_of_a_stack_gets_its_own_rows(shape):
     stack = np.random.default_rng(4).standard_normal(shape)
-    assert list(render_each(stack)) == [_percent_g_lines(rows) for rows in stack]
+    assert list(render_each(stack)) == [_percent_g_lines(rows).encode() for rows in stack]
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
