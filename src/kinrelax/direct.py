@@ -142,9 +142,8 @@ def propagate(f0, xi, grid: VelocityGrid, times, method: str = "exact-dense",
     if h is not None and not math.isfinite(float(np.max(stops, initial=0.0)) / h):
         step = f"dt={h:g}" if dt else f"the RK4 default step {h:g}"
         raise ValueError(f"the step count {np.max(stops):g} / {step} is not finite")
-    out = np.empty((len(stops),) + f0.shape, dtype=complex)
     y, log_bound = to_parity(f0, grid), math.log2(bound)  # so s never overflows
-    prop_h = held = None  # held: the span the power was built for
+    out = prop_h = held = prop = power = None  # held: the span the power was built for
     most = 1 if dt else grid.order // 2  # r <= N/2 matvecs cost less than one stacked product
     # Python floats: a ratio past the largest double is inf, with no overflow warning
     for k, span in enumerate(np.diff(stops, prepend=0.0).tolist()):
@@ -152,18 +151,28 @@ def propagate(f0, xi, grid: VelocityGrid, times, method: str = "exact-dense",
             m = span / held if held else math.inf
             r = round(m) if m < most + 1 else 0
             if not (1 <= r <= most and abs(span - r * held) <= 4.0 * np.spacing(stops[k])):
-                r, n, h = 1, 1, span
+                r, n, h, power = 1, 1, span, None  # each stack is dropped before its successor
                 if dt:
                     n = max(1, math.ceil(span / dt - 1e-9))
                     h = dt if abs(n * dt - span) <= 1e-9 * span else span / n
                 s = max(0, math.ceil(math.log2(h) - log_bound))
                 n, h = n << s, math.ldexp(h, -s)
                 if h != prop_h:  # one-step propagators of the modes
-                    prop_h, prop = h, _taylor(R * h, degree)
+                    prop = None
+                    if prop_h is not None:  # R holds prop_h R: it is scaled in place
+                        R = _parity_generator(xi, grid)
+                    R *= h
+                    prop_h, prop = h, _taylor(R, degree)
                 held, power = span, _power(prop, n)
+            if out is None:  # not live while the first propagators are built
+                out = np.empty((len(stops),) + f0.shape, dtype=complex)
+                out[:k] = y  # the start, at t = 0
             for _ in range(r):  # the real power acts on the real and imaginary parts at once
                 y = (power @ y.view(float).reshape(*y.shape, 2)).view(complex)[..., 0]
-        out[k] = y
+            out[k] = y
+    if out is None:  # no stop past t = 0
+        out = np.broadcast_to(y, (len(stops),) + y.shape)
+    R = prop = power = None  # released before the conversion
     out = from_parity(out, grid)
     out[stops == 0.0] = f0  # no basis roundtrip at t = 0
     return out if np.array_equal(stops, times) else out[order]
@@ -175,9 +184,17 @@ def to_parity(f, grid: VelocityGrid) -> np.ndarray:
 
 
 def from_parity(y, grid: VelocityGrid) -> np.ndarray:
-    """Inverse of ``to_parity``: f(+-v) = (e -+ i q) / 2."""
-    up, mirror = grid.nodes >= 0.0, y[..., ::-1]
-    return (np.where(up, y, mirror) - 1j * np.sign(grid.nodes) * np.where(up, mirror, y)) / 2
+    """Inverse of ``to_parity``: f(+-v) = (e -+ i q) / 2, written half by half
+    into the one output array, with no full-size temporary."""
+    y, n, c = np.asarray(y), grid.order // 2, 1j * np.sign(grid.nodes)
+    f = np.empty(y.shape, dtype=complex)
+    up, down, mid = slice(grid.order - n, None), slice(None, n), slice(n, grid.order - n)
+    # (e, q) per half: v > 0 takes q from the mirror, v < 0 e; a centre v = 0 is both
+    for half, e, q in ((up, y[..., up], y[..., down][..., ::-1]),
+                       (down, y[..., up][..., ::-1], y[..., down]), (mid, y[..., mid], y[..., mid])):
+        np.subtract(e, np.multiply(c[half], q, out=f[..., half]), out=f[..., half])
+    f /= 2
+    return f
 
 
 def _parity_generator(xi, grid: VelocityGrid) -> np.ndarray:
@@ -197,13 +214,14 @@ def _taylor(X, degree: int) -> np.ndarray:
     powers = (X, X2, X2 @ X)  # X^1, X^2, X^3
     X4 = X2 @ X2
     diag = np.arange(X.shape[-1])
-    P = _TAYLOR[degree] * X4
+    P = np.multiply(_TAYLOR[degree], X4)
+    Q = np.empty_like(P)  # the scratch of the scaled adds and Horner products: six stacks live
     for j in range(degree - 4, -1, -4):
         for i, Xp in enumerate(powers, start=1):
-            P += _TAYLOR[j + i] * Xp
+            P += np.multiply(_TAYLOR[j + i], Xp, out=Q)
         P[..., diag, diag] += _TAYLOR[j]  # the identity term: a full eye add costs a product
         if j:
-            P = X4 @ P
+            P, Q = np.matmul(X4, P, out=Q), P
     return P
 
 

@@ -489,7 +489,25 @@ def test_rounded_spans_keep_the_step(grid, monkeypatch):
                 assert np.max(np.abs(state - alone(t, method))) <= bound * np.max(np.abs(state))
 
 
-@pytest.mark.parametrize("order", [2, 7, 64])
+def _from_parity_where(y, grid):
+    """The reference conversion: the np.where form that ``from_parity`` replaced."""
+    up, mirror = grid.nodes >= 0.0, y[..., ::-1]
+    return (np.where(up, y, mirror) - 1j * np.sign(grid.nodes) * np.where(up, mirror, y)) / 2
+
+
+@pytest.mark.parametrize("order", [2, 3, 7, 8, 64, 65])
+def test_conversion_by_halves_is_bitwise_the_where_form(order):
+    # signed zeros, infinities, nan and the smallest subnormal in either part
+    parts = np.array([0.0, -0.0, 1.5, -2.25, math.inf, -math.inf, math.nan, 5e-324])
+    y = np.random.default_rng(order).choice(parts, (4000, order, 2)).view(complex)[..., 0]
+    grid = build_grid(order)
+    with np.errstate(invalid="ignore"):
+        got, ref = from_parity(y, grid), _from_parity_where(y, grid)
+    assert got.dtype == ref.dtype and got.shape == ref.shape
+    assert got.tobytes() == ref.tobytes()
+
+
+@pytest.mark.parametrize("order", [2, 3, 7, 8, 64, 65])
 def test_parity_round_trip_within_one_ulp(order):
     rng = np.random.default_rng(order)
     scale = 10.0 ** rng.uniform(-300, 300, size=(200, 1))
@@ -574,11 +592,19 @@ def test_exact_path_past_full_underflow_is_zero(grid):
 
 
 class _CountedProducts(np.ndarray):
+    """Counts stacked products through the matmul ufunc: ``@`` and ``np.matmul``
+    with ``out=`` alike.  Results stay counted arrays, so products of them count."""
     products = 0
 
-    def __matmul__(self, other):
-        _CountedProducts.products += 1
-        return super().__matmul__(other)
+    def __array_ufunc__(self, ufunc, method, *inputs, out=None, **kwargs):
+        if ufunc is np.matmul:
+            _CountedProducts.products += 1
+        if out is not None:
+            kwargs["out"] = tuple(np.asarray(o) for o in out)
+        result = getattr(ufunc, method)(*map(np.asarray, inputs), **kwargs)
+        if out is not None:
+            return out[0] if len(out) == 1 else out
+        return result.view(_CountedProducts) if isinstance(result, np.ndarray) else result
 
 
 def test_power_is_matrix_power_and_stops_at_zero():

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from helpers import PASS_ROWS
 from kinrelax import artifacts, dispersion, quadrature
 from kinrelax.artifacts import CHUNK_VALUES, SMALL_VALUES, render_each, write_csv
+from kinrelax.direct import output_times, propagate
 from kinrelax.dispersion import (_ERFCX_Q, DEFAULT_EDGE_MARGIN, DEFAULT_XI_MIN, XI_RESIDUAL_TOL,
                                  DispersionTable, UnsupportedFrequencyError, build_table,
                                  c_of_xi, erfcx, transfer_function, xi_of_c, xi_of_c_quadrature)
@@ -670,6 +671,26 @@ _PEAK_COLUMNS = {key: _PEAK_RNG.standard_normal(8020) for key in ("xi", "c", "b"
     (lambda: artifacts.write_json(os.devnull, {"format_version": 1}, _PEAK_COLUMNS), 1374 * 1.1),
 ], ids=["pass", "shortest pass", "write_csv 512x65", "write_json 8020x5"])
 def test_writer_scratch_stays_bounded(call, bound_kb):
+    assert _tracemalloc_peak_kb(call) <= bound_kb
+
+
+_ORACLE_GRID = build_grid(64)
+_ORACLE_XI = 0.9 * np.arange(113, 129) / 128  # the top 16 modes of the default band
+_ORACLE_LIFT = transfer_function(build_table(_ORACLE_XI), _ORACLE_GRID)
+
+
+# the direct oracle sets the peak_rss_mb of verify-exact: each bound is the
+# tracemalloc peak (KB) of one propagate call with six live (modes, N, N) stacks
+# and the parity conversion by halves, plus 10%.  Eight stacks and the np.where
+# conversion peaked at 4,949, 3,667 and 1,835 KB
+@pytest.mark.parametrize("call, bound_kb", [
+    (lambda: propagate(_ORACLE_LIFT, _ORACLE_XI, _ORACLE_GRID, output_times(5.0, 0.01, 10),
+                       dt=0.01), 3103 * 1.1),
+    (lambda: propagate(_ORACLE_LIFT, _ORACLE_XI, _ORACLE_GRID, [0.5, 1.0, 2.0, 5.0]), 3102 * 1.1),
+    (lambda: propagate(_ORACLE_LIFT[8:], _ORACLE_XI[8:], _ORACLE_GRID, [0.5, 1.0, 2.0, 5.0],
+                       method="rk4"), 1554 * 1.1),
+], ids=["solve-direct 16 modes", "compare 16 modes", "rk4 8 modes"])
+def test_direct_oracle_scratch_stays_bounded(call, bound_kb):
     assert _tracemalloc_peak_kb(call) <= bound_kb
 
 
