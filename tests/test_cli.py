@@ -7,15 +7,15 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from helpers import PASS_ROWS
+from helpers import PASS_ROWS, tracemalloc_peak_kb
 from kinrelax import __version__, artifacts, cli
-from kinrelax.cli import (DEFAULT_CONFIG, REFERENCE_CURVE_XI, ConfigError, RunConfig,
-                          _property_rows, main, write_csv)
+from kinrelax.cli import (BATTERY_BLOCK, DEFAULT_CONFIG, REFERENCE_CURVE_XI, ConfigError,
+                          RunConfig, _property_rows, main, write_csv)
 from kinrelax.collision import (apply_collision, check_mass_conservation,
                                 check_negative_semidefinite, check_self_adjoint)
 from kinrelax.diagnostics import direct_unit_modes
-from kinrelax.direct import output_times
-from kinrelax.dispersion import build_table
+from kinrelax.direct import ModeOperator, output_times
+from kinrelax.dispersion import build_table, transfer_function
 from kinrelax.gds import (evolve_density, lift_to_kinetic, make_band_limited_density,
                           to_physical)
 from kinrelax.quadrature import SQRT_PI, build_grid, norm_phi
@@ -685,6 +685,40 @@ def test_property_battery_matches_per_draw_reference():
     rows = {name: value for name, value, _ in _property_rows(config)}
     for name, expected in _per_draw_reference(config).items():
         assert rows[name] == expected, name  # bitwise: same draws, same row sums
+
+
+def test_property_battery_memory_stays_bounded():
+    # the battery sets the peak_rss_mb of properties: the bound is the tracemalloc
+    # peak (KB) at defaults with its states and eigenpair residuals in blocks of
+    # BATTERY_BLOCK rows (at the gap row), plus 10%.  The 1,000 states and the
+    # whole-table residuals in one array each peaked at 5,134 KB
+    config = RunConfig.from_dict({})
+    assert tracemalloc_peak_kb(lambda: list(_property_rows(config))) <= 1663 * 1.1
+
+
+def _last_row_scaled(table, grid):
+    K = transfer_function(table, grid)
+    K[-1] *= 1.5  # so that each transfer row's largest value lies in the last block
+    return K
+
+
+@pytest.mark.parametrize("transfer", [transfer_function, _last_row_scaled],
+                         ids=["transfer function", "last row scaled"])
+def test_blocked_eigenpair_row_matches_the_whole_table_at_a_ragged_size(monkeypatch, transfer):
+    monkeypatch.setattr(cli, "transfer_function", transfer)
+    config = RunConfig.from_dict({"identity_samples": 101, "n_velocity": 24})
+    grid = build_grid(config.n_velocity)
+    w, v = grid.weights, grid.nodes
+    xi = np.linspace(0.01, config.identity_band, config.identity_samples)
+    table = build_table(np.concatenate([-xi, xi]))
+    assert len(table.xi) % BATTERY_BLOCK  # 202 rows: the last block is partial
+    K = transfer(table, grid)
+    pair = ModeOperator(xi=table.xi, grid=grid).apply(K) - table.lam[:, None] * K
+    rows = {name: value for name, value, _ in _property_rows(config)}
+    # bitwise: the same rows, each one's arithmetic in the same order
+    assert rows["transfer_normalization_max"] == float(np.max(np.abs(K @ w - 1.0)))
+    assert rows["transfer_flux_max"] == float(np.max(np.abs(K @ (w * v) - 1j * table.a)))
+    assert rows["eigenpair_residual_max"] == float(np.max(np.sqrt(np.abs(pair) ** 2 @ w)))
 
 
 # ------------------------------------------------------------------ fuzz

@@ -1,7 +1,6 @@
 import json
 import math
 import os
-import tracemalloc
 import warnings
 
 import mpmath
@@ -11,7 +10,7 @@ import scipy.special
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from helpers import PASS_ROWS
+from helpers import PASS_ROWS, tracemalloc_peak_kb
 from kinrelax import artifacts, dispersion, quadrature
 from kinrelax.artifacts import CHUNK_VALUES, SMALL_VALUES, render_each, write_csv
 from kinrelax.direct import output_times, propagate
@@ -644,16 +643,6 @@ def test_json_separators_write_any_keys(tmp_path, n):
     assert (tmp_path / "p.json").read_bytes() == _json_reference(doc, points).encode()
 
 
-def _tracemalloc_peak_kb(call):
-    call()  # the formatter's tables are built once, at the first pass
-    tracemalloc.start()
-    try:
-        call()
-        return tracemalloc.get_traced_memory()[1] / 1024
-    finally:
-        tracemalloc.stop()
-
-
 _PEAK_RNG = np.random.default_rng(29)
 _PEAK_VALUES = _PEAK_RNG.standard_normal(CHUNK_VALUES) * 10.0 ** _PEAK_RNG.uniform(-8, 8, CHUNK_VALUES)
 _PEAK_ENDS = np.arange(1, CHUNK_VALUES + 1) % 65 == 0
@@ -671,7 +660,7 @@ _PEAK_COLUMNS = {key: _PEAK_RNG.standard_normal(8020) for key in ("xi", "c", "b"
     (lambda: artifacts.write_json(os.devnull, {"format_version": 1}, _PEAK_COLUMNS), 1374 * 1.1),
 ], ids=["pass", "shortest pass", "write_csv 512x65", "write_json 8020x5"])
 def test_writer_scratch_stays_bounded(call, bound_kb):
-    assert _tracemalloc_peak_kb(call) <= bound_kb
+    assert tracemalloc_peak_kb(call) <= bound_kb
 
 
 _ORACLE_GRID = build_grid(64)
@@ -691,7 +680,7 @@ _ORACLE_LIFT = transfer_function(build_table(_ORACLE_XI), _ORACLE_GRID)
                        method="rk4"), 1554 * 1.1),
 ], ids=["solve-direct 16 modes", "compare 16 modes", "rk4 8 modes"])
 def test_direct_oracle_scratch_stays_bounded(call, bound_kb):
-    assert _tracemalloc_peak_kb(call) <= bound_kb
+    assert tracemalloc_peak_kb(call) <= bound_kb
 
 
 @pytest.mark.parametrize("shape", [(256, 51, 4), (3, 1100, 4), (2, 3, 2000), (4, 0, 4), (1, 1, 1)])
