@@ -299,11 +299,12 @@ def cmd_solve_direct(config: RunConfig, out: Path) -> int:
                                    method=config.solver_method, dt=config.dt)
     d = (rho0.rho_hat[rho0.active_indices()] * unit).T  # (modes, times)
     rows = np.stack([np.broadcast_to(times, d.shape), d.real, d.imag, dist.T], axis=-1)
+    del unit, dist, d  # rows holds them; free before the render
     for (tag, xi), text in zip(tags.items(), artifacts.render_each(rows)):
         write_csv(traj_dir / f"mode_{tag}.csv",
                   ("t", "re_rho_hat", "im_rho_hat", "gds_distance"), text, config,
                   extra_meta=(f"xi={xi:.17g}", f"method={config.solver_method}"))
-    print(f"solve-direct: wrote {unit.shape[1]} mode trajectories to {traj_dir}")
+    print(f"solve-direct: wrote {len(tags)} mode trajectories to {traj_dir}")
     return 0
 
 

@@ -22,7 +22,7 @@ from .quadrature import VelocityGrid
 
 # Modes per ``propagate`` call: bounds the (BLOCK, N, N) propagators, powers and
 # states held at once, and each RK4 block steps within its own smallest default.
-BLOCK = 16
+BLOCK = 8
 
 
 @dataclass(frozen=True)

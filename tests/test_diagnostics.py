@@ -7,7 +7,7 @@ from kinrelax import diagnostics
 from kinrelax.diagnostics import (ResidualReport, Tolerances, compare_gds_direct,
                                   continuity_residual, direct_unit_modes,
                                   spectral_continuity_residual)
-from kinrelax.direct import ModeOperator, propagate
+from kinrelax.direct import ModeOperator, output_times, propagate
 from kinrelax.dispersion import build_table, transfer_function
 from kinrelax.gds import (FieldSnapshot, evolve_density, lift_to_kinetic,
                           make_band_limited_density, to_physical)
@@ -175,7 +175,7 @@ def test_half_band_matches_brute_force_both_halves(profile, method):
     assert np.max(np.abs(rep.residuals - brute.ravel())) < 1e-13
 
 
-def test_direct_unit_modes_integrates_positive_modes_in_blocks_of_16(grid, monkeypatch):
+def test_direct_unit_modes_integrates_positive_modes_in_blocks_of_8(grid, monkeypatch):
     # propagate holds a (modes, N, N) stack for all the modes of one call, so the
     # memory bound is the block size of direct_unit_modes
     calls = []
@@ -187,8 +187,43 @@ def test_direct_unit_modes_integrates_positive_modes_in_blocks_of_16(grid, monke
     monkeypatch.setattr(diagnostics, "propagate", recording)
     rho0, table = gds_setup(xi_max=0.9, modes=128)
     direct_unit_modes(rho0, table, grid, [0.5])
-    assert [len(xi) for xi in calls] == [16] * 8
+    assert [len(xi) for xi in calls] == [8] * 16
     assert np.array_equal(np.concatenate(calls), rho0.xi_grid[rho0.xi_grid > 0])
+
+
+@pytest.mark.parametrize("times, dt", [(output_times(5.0, 0.01, 10), 0.01),
+                                       ([0.5, 1.0, 2.0, 5.0], None)],
+                         ids=["solve-direct stops", "compare stops"])
+def test_exact_oracle_does_not_depend_on_the_block_size(grid, monkeypatch, times, dt):
+    # a block's exact step depends only on the ||R||_1 of its largest |xi|, and at
+    # the default band the halves of a 16-mode block square as often as the block
+    rho0, table = gds_setup(xi_max=0.9, modes=128)
+    runs = []
+    for block in (16, 8):
+        monkeypatch.setattr(diagnostics, "BLOCK", block)
+        runs.append(direct_unit_modes(rho0, table, grid, times, dt=dt))
+    (dens16, dist16), (dens8, dist8) = runs
+    assert np.array_equal(dens16, dens8) and np.array_equal(dist16, dist8)
+
+
+@pytest.mark.parametrize("times", [output_times(5.0, 0.01, 10), [0.5, 1.0, 2.0, 5.0]],
+                         ids=["solve-direct stops", "compare stops"])
+def test_rk4_oracle_moves_with_the_block_size_only_by_rounding(grid, monkeypatch, times):
+    # without a dt each block steps at the smallest default dt of its own modes,
+    # so a lower 8-mode block takes larger steps than the 16-mode block it was
+    # part of.  Measured: densities 5.4e-13 and 9.3e-13 apart relative, distances
+    # 8.5e-14 and 1.3e-13; the bound is ten times the larger, five decades inside
+    # gds_vs_direct.  With solve-direct's fixed dt the steps are the same: bitwise
+    rho0, table = gds_setup(xi_max=0.9, modes=128)
+    runs = {}
+    for block in (16, 8):
+        monkeypatch.setattr(diagnostics, "BLOCK", block)
+        for dt in (None, 0.01):
+            runs[block, dt] = direct_unit_modes(rho0, table, grid, times, method="rk4", dt=dt)
+    (dens16, dist16), (dens8, dist8) = runs[16, None], runs[8, None]
+    assert np.max(np.abs(dens16 - dens8) / np.abs(dens16)) < 1e-11
+    assert np.max(np.abs(dist16 - dist8)) < 1e-11
+    assert all(np.array_equal(a, b) for a, b in zip(runs[16, 0.01], runs[8, 0.01]))
 
 
 def test_compare_row_order_and_worst_location(grid):

@@ -13,10 +13,13 @@ from hypothesis import strategies as st
 from helpers import PASS_ROWS, tracemalloc_peak_kb
 from kinrelax import artifacts, dispersion, quadrature
 from kinrelax.artifacts import CHUNK_VALUES, SMALL_VALUES, render_each, write_csv
+from kinrelax.cli import main
+from kinrelax.diagnostics import direct_unit_modes
 from kinrelax.direct import output_times, propagate
 from kinrelax.dispersion import (_ERFCX_Q, DEFAULT_EDGE_MARGIN, DEFAULT_XI_MIN, XI_RESIDUAL_TOL,
                                  DispersionTable, UnsupportedFrequencyError, build_table,
                                  c_of_xi, erfcx, transfer_function, xi_of_c, xi_of_c_quadrature)
+from kinrelax.gds import make_band_limited_density
 from kinrelax.quadrature import SQRT_PI, build_grid
 
 
@@ -681,6 +684,28 @@ _ORACLE_LIFT = transfer_function(build_table(_ORACLE_XI), _ORACLE_GRID)
 ], ids=["solve-direct 16 modes", "compare 16 modes", "rk4 8 modes"])
 def test_direct_oracle_scratch_stays_bounded(call, bound_kb):
     assert tracemalloc_peak_kb(call) <= bound_kb
+
+
+_BAND = make_band_limited_density("gaussian-bump", xi_max=0.9, modes=128)  # the default band
+_BAND_TABLE = build_table(_BAND.active_frequencies())
+
+
+# direct_unit_modes integrates the band diagnostics.BLOCK = 8 modes at a time:
+# each bound is its tracemalloc peak (KB), or the solve-direct op's, plus 10%.
+# Blocks of 16 peaked at 3,389, 3,247 and 3,448 KB
+@pytest.mark.parametrize("call, bound_kb", [
+    (lambda: direct_unit_modes(_BAND, _BAND_TABLE, _ORACLE_GRID, output_times(5.0, 0.01, 10),
+                               dt=0.01), 1924 * 1.1),
+    (lambda: direct_unit_modes(_BAND, _BAND_TABLE, _ORACLE_GRID, [0.5, 1.0, 2.0, 5.0]),
+     1698 * 1.1),
+], ids=["solve-direct stops", "compare stops"])
+def test_direct_unit_modes_scratch_stays_bounded(call, bound_kb):
+    assert tracemalloc_peak_kb(call) <= bound_kb
+
+
+def test_solve_direct_op_peak_stays_bounded(tmp_path):
+    # the op frees the densities once the trajectory rows hold them
+    assert tracemalloc_peak_kb(lambda: main(["solve-direct", "--out", str(tmp_path)])) <= 1983 * 1.1
 
 
 @pytest.mark.parametrize("shape", [(256, 51, 4), (3, 1100, 4), (2, 3, 2000), (4, 0, 4), (1, 1, 1)])
