@@ -394,7 +394,7 @@ def _property_rows(config: RunConfig):
     yield "eigenpair_residual_max", float(np.max(residual)), tol.eigenpair
 
     gap = build_table(np.linspace(0.1, config.identity_band, 8))
-    mu, _ = ModeOperator(xi=gap.xi, grid=grid).hydrodynamic_eigenpair()
+    mu = ModeOperator(xi=gap.xi, grid=grid).hydrodynamic_eigenvalue()
     yield "dense_eigenvalue_gap_max", float(np.max(np.abs(mu - gap.lam))), tol.eigenpair
 
     xi = np.linspace(0.01, SQRT_PI - 0.01, 200)

@@ -156,9 +156,10 @@ def distance_to_ray(states, K, grid: VelocityGrid) -> np.ndarray:
 
 def direct_unit_modes(rho0: SpectralDensity, table: DispersionTable,
                       grid: VelocityGrid, times, method: str = "exact-dense",
-                      dt: float | None = None) -> tuple:
+                      dt: float | None = None, distances: bool = True) -> tuple:
     """Direct densities and ray distances, (len(times), active modes) each, of
-    every active mode started from its transfer function at unit amplitude.
+    every active mode started from its transfer function at unit amplitude;
+    None for the distances unless ``distances``.
 
     Only the upper half, xi > 0, of the active rows (``SpectralDensity.rows_in``)
     is integrated (``direct.propagate``, BLOCK states at a time); the support is
@@ -169,15 +170,16 @@ def direct_unit_modes(rho0: SpectralDensity, table: DispersionTable,
     rows = rows[len(rows) // 2:]
     xi, lift = table.xi[rows], transfer_function(table, grid)[rows]
     dens = np.empty((len(times), len(rows)), dtype=complex)
-    dist = np.empty((len(times), len(rows)))
+    dist = np.empty((len(times), len(rows))) if distances else None
     for lo in range(0, len(rows), BLOCK):
         blk = slice(lo, lo + BLOCK)
         states = propagate(lift[blk], xi[blk], grid, times, method=method, dt=dt)
         dens[:, blk] = states @ grid.weights
-        dist[:, blk] = distance_to_ray(states, lift[blk], grid)
+        if distances:
+            dist[:, blk] = distance_to_ray(states, lift[blk], grid)
         del states  # free before the next block is integrated
     return (np.concatenate([dens[:, ::-1].conj(), dens], axis=1),
-            np.concatenate([dist[:, ::-1], dist], axis=1))
+            None if dist is None else np.concatenate([dist[:, ::-1], dist], axis=1))
 
 
 def compare_gds_direct(rho0: SpectralDensity, times, table: DispersionTable,
@@ -201,7 +203,7 @@ def compare_gds_direct(rho0: SpectralDensity, times, table: DispersionTable,
     if len(idx) == 0:
         raise ValueError("initial spectrum has no active modes")
 
-    unit, _ = direct_unit_modes(rho0, table, grid, times, method=method)
+    unit, _ = direct_unit_modes(rho0, table, grid, times, method=method, distances=False)
     xi = rho0.xi_grid[idx]
     amp = rho0.rho_hat[idx][:, None]
     rho_closed = amp * np.exp((table.lam[rho0.rows_in(table)][:, None] + lambda_offset)

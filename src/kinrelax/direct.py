@@ -12,8 +12,8 @@ node v = 0 has e = 2 f(0), no q, and coefficient 1, not 2).  This is exact by
 grid symmetry, not by dispersion: the matrix exponential, by scaling and
 squaring (Moler & Van Loan, 2003, who also call eigenvectors "dubious" for a
 nonnormal R) of a degree-16 Taylor polynomial, RK4 (the degree-4 one) and the
-hydrodynamic eigenpair (one real eigvals of R, then inverse iteration) run in
-real arithmetic as the derivation-free oracles the package is validated against.
+hydrodynamic eigenvalue (one real eigvals of R) run in real arithmetic as the
+derivation-free oracles the package is validated against.
 """
 
 import math
@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .quadrature import VelocityGrid, as_grid_array, moment, norm_phi
+from .quadrature import VelocityGrid, as_grid_array
 
 
 @dataclass(frozen=True)
@@ -44,34 +44,19 @@ class ModeOperator:
         f = as_grid_array(f, self.grid)
         return self.diag * f + (f @ self.grid.weights)[..., None]
 
-    def hydrodynamic_eigenpair(self):
-        """The least-damped eigenpair, whose eigenvector carries mass.
+    def hydrodynamic_eigenvalue(self):
+        """The least-damped eigenvalue, one per row for an array xi.
 
-        Returns (mu, u) with u scaled so <u, 1>_phi = 1, one pair per row for an
-        array xi.  mu is the eigenvalue of the parity generator R (one real
-        eigvals) with the largest real part, LAPACK's first on a tie (of a conjugate
+        One real eigvals of the parity generator R, and of its eigenvalues the
+        one with the largest real part, LAPACK's first on a tie (of a conjugate
         pair out of the grid-faithful band, the one with positive imaginary part);
-        the spurious real one just above -1 is always more damped.  u is two steps
-        of inverse iteration from the mass direction at mu + 4 eps (1 + |mu|),
-        mapped back by ``from_parity``.  ArithmeticError unless the last step grows
-        it 1e8-fold and it carries mass; neither fails on A_xi: at xi = 0 u is the
-        constant, and for xi != 0 a massless eigenvector of the distinct diagonal
-        -(1 + i xi v) plus 1 w^T would be some e_j, of mass w_j > 0.
+        the spurious real one just above -1 is always more damped.  Its eigenvector
+        carries mass: at xi = 0 it is the constant, and for xi != 0 a massless one of
+        the distinct diagonal -(1 + i xi v) plus 1 w^T would be some e_j, of mass w_j > 0.
         """
-        R, eye = _parity_generator(self.xi, self.grid), np.eye(self.grid.order)
-        mu = np.linalg.eigvals(R)
+        mu = np.linalg.eigvals(_parity_generator(self.xi, self.grid))
         k = np.argmax(mu.real, axis=-1)
-        mu = mu[(*np.indices(k.shape, sparse=True), k)].astype(complex)  # eigvals may be real
-        M = R - np.multiply.outer(mu + 4.0 * np.finfo(float).eps * (1.0 + np.abs(mu)), eye)
-        start = to_parity(np.ones(self.grid.order), self.grid)  # the mass direction
-        y = np.linalg.solve(M, np.broadcast_to(start, R.shape[:-1])[..., None])
-        y = np.linalg.solve(M, y / np.max(np.abs(y), axis=-2, keepdims=True))
-        u, grown = from_parity(y[..., 0], self.grid), np.max(np.abs(y), axis=(-2, -1))
-        mass = moment(u, 0, self.grid)
-        # a step grows the eigenvector of mu about 1/eps-fold, the other parts 1/gap-fold
-        if not np.all((grown > 1e8) & (np.abs(mass) > 1e-8 * norm_phi(u, self.grid))):
-            raise ArithmeticError("no mass-carrying eigenvector of the least-damped eigenvalue")
-        return mu, u / mass[..., None]
+        return mu[(*np.indices(k.shape, sparse=True), k)].astype(complex)  # eigvals may be real
 
 
 def rk4_stability_limit(xi, grid: VelocityGrid):

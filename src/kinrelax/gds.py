@@ -239,7 +239,9 @@ def _synthesize(values: np.ndarray, modes: int, x_points: int, L: float) -> np.n
     packed = np.zeros((x_points,) + values.shape[1:], dtype=complex)
     packed[np.arange(-modes, modes + 1) % x_points] = values
     with np.errstate(over="ignore", invalid="ignore"):
-        return ifft(packed, axis=0) * (x_points / L)
+        ifft(packed, axis=0, out=packed)
+        packed *= x_points / L
+    return packed
 
 
 def to_physical(state: KineticStateSpectral, x_points: int,

@@ -690,10 +690,21 @@ def test_property_battery_matches_per_draw_reference():
 def test_property_battery_memory_stays_bounded():
     # the battery sets the peak_rss_mb of properties: the bound is the tracemalloc
     # peak (KB) at defaults with its states and eigenpair residuals in blocks of
-    # BATTERY_BLOCK rows (at the gap row), plus 10%.  The 1,000 states and the
-    # whole-table residuals in one array each peaked at 5,134 KB
+    # BATTERY_BLOCK rows and the gap row's eigenvalues alone, plus 10%.  The
+    # 1,000 states and the whole-table residuals in one array each peaked at
+    # 5,134 KB, and the gap row's eigenvectors by inverse iteration at 1,663 KB
     config = RunConfig.from_dict({})
-    assert tracemalloc_peak_kb(lambda: list(_property_rows(config))) <= 1663 * 1.1
+    assert tracemalloc_peak_kb(lambda: list(_property_rows(config))) <= 1256 * 1.1
+
+
+def test_property_battery_makes_no_linear_solve(monkeypatch):
+    # the dense eigenvalue gap row reports eigenvalues only: no eigenvector is solved for
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the battery takes eigenvalues only")
+
+    monkeypatch.setattr(np.linalg, "solve", forbidden)
+    rows = list(_property_rows(RunConfig.from_dict({})))
+    assert "dense_eigenvalue_gap_max" in [name for name, _, _ in rows]
 
 
 def _last_row_scaled(table, grid):

@@ -191,6 +191,22 @@ def test_direct_unit_modes_integrates_positive_modes_in_blocks_of_8(grid, monkey
     assert np.array_equal(np.concatenate(calls), rho0.xi_grid[rho0.xi_grid > 0])
 
 
+def test_compare_computes_no_ray_distances(grid, monkeypatch):
+    # compare reports densities alone; solve-direct's call still gets the distances
+    rho0, table = gds_setup(xi_max=0.6, modes=4)
+    times = [0.5, 1.0]
+    dens, dist = direct_unit_modes(rho0, table, grid, times)
+    assert dist.shape == dens.shape == (2, 8)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("compare discards the ray distances")
+
+    monkeypatch.setattr(diagnostics, "distance_to_ray", forbidden)
+    assert compare_gds_direct(rho0, times, table, grid).passed
+    unit, none = direct_unit_modes(rho0, table, grid, times, distances=False)
+    assert none is None and np.array_equal(unit, dens)
+
+
 @pytest.mark.parametrize("times, dt", [(output_times(5.0, 0.01, 10), 0.01),
                                        ([0.5, 1.0, 2.0, 5.0], None)],
                          ids=["solve-direct stops", "compare stops"])

@@ -19,7 +19,7 @@ from kinrelax.direct import output_times, propagate
 from kinrelax.dispersion import (_ERFCX_Q, DEFAULT_EDGE_MARGIN, DEFAULT_XI_MIN, XI_RESIDUAL_TOL,
                                  DispersionTable, UnsupportedFrequencyError, build_table,
                                  c_of_xi, erfcx, transfer_function, xi_of_c, xi_of_c_quadrature)
-from kinrelax.gds import make_band_limited_density
+from kinrelax.gds import lift_to_kinetic, make_band_limited_density, to_physical
 from kinrelax.quadrature import SQRT_PI, build_grid
 
 
@@ -701,6 +701,17 @@ _BAND_TABLE = build_table(_BAND.active_frequencies())
 ], ids=["solve-direct stops", "compare stops"])
 def test_direct_unit_modes_scratch_stays_bounded(call, bound_kb):
     assert tracemalloc_peak_kb(call) <= bound_kb
+
+
+_BAND_STATE = lift_to_kinetic(_BAND, _BAND_TABLE, _ORACLE_GRID)
+
+
+def test_field_synthesis_scratch_stays_bounded():
+    # build-gds's kinetic export at the synthesize size (128 modes, 512 x points,
+    # N = 64): each inverse transform runs in place in its packed array.  The
+    # bound is the tracemalloc peak (KB) plus 10%; a new array per ifft and per
+    # scaling peaked at 1,034 KB
+    assert tracemalloc_peak_kb(lambda: to_physical(_BAND_STATE, 512, include_f=True)) <= 777 * 1.1
 
 
 def test_solve_direct_op_peak_stays_bounded(tmp_path):
